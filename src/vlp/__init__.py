@@ -6,7 +6,7 @@ recover 3D camera position, and decodes the panel's blinking ID against a
 luminaire database to anchor positions in world coordinates.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from . import codec, errors, geometry, harness, learn, photometry, render, vision
 

@@ -17,6 +17,11 @@ class BehindCamera(VlpError):
     """Point lies on or behind the camera plane (z_cam <= 0)."""
 
 
+class MalformedModel(VlpError, ValueError):
+    """Model file is not valid JSON, carries another format tag, names an
+    unknown kind or lacks a field."""
+
+
 class MalformedIes(VlpError):
     """IES photometric file could not be parsed."""
 

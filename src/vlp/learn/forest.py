@@ -33,10 +33,11 @@ class Forest:
         return acc / len(self.trees)
 
 
-def fit_forest(features, targets, *, n_trees: int = 150, bootstrap: bool = True,
+def fit_forest(features, targets, *, n_trees: int = 150,
                max_depth: int | None = None, min_samples_leaf: int = 1,
-               feature_subset: int | None = None, seed=None) -> Forest:
-    """Grow n_trees trees on bootstrap resamples (N draws with replacement).
+               seed=None) -> Forest:
+    """Grow n_trees CART trees on bootstrap resamples (N draws with
+    replacement).
 
     Each tree gets its own child seed spawned from `seed`, so the model is
     reproducible for a fixed seed no matter how trees might be scheduled.
@@ -49,16 +50,9 @@ def fit_forest(features, targets, *, n_trees: int = 150, bootstrap: bool = True,
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     n = x.shape[0]
-    children = np.random.SeedSequence(seed).spawn(n_trees)
     trees: list[Tree] = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        if bootstrap:
-            rows = rng.integers(0, n, size=n)
-            xt, yt = x[rows], y[rows]
-        else:
-            xt, yt = x, y
-        trees.append(fit_tree(xt, yt, max_depth=max_depth,
-                              min_samples_leaf=min_samples_leaf,
-                              feature_subset=feature_subset, rng=rng))
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rows = np.random.default_rng(child).integers(0, n, size=n)
+        trees.append(fit_tree(x[rows], y[rows], max_depth=max_depth,
+                              min_samples_leaf=min_samples_leaf))
     return Forest(trees)

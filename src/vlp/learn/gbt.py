@@ -1,21 +1,17 @@
 """Gradient-boosted trees with second-order split gains on squared loss.
 
-Each round grows a tree on the per-row gradients g_i = pred_i - y_i and
-hessians h_i = 1, scoring splits by
-
-    gain = 1/2 * [G_L^2/(H_L + lambda) + G_R^2/(H_R + lambda)
-                  - G^2/(H + lambda)] - gamma
-
-and assigning leaf weights -G/(H + lambda). The ensemble prediction is
-base_score + learning_rate * sum of tree outputs; the base score is the
-target mean.
+Each round grows one tree with the shared exact grower (tree.grow_tree) on
+the per-row gradients g_i = pred_i - y_i with unit hessians, so splits are
+scored by the second-order gain and leaves hold -G/(H + lambda). The
+ensemble prediction is base_score + learning_rate * sum of tree outputs;
+the base score is the target mean.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import Tree, _Builder, _validate_xy
+from .tree import Tree, _validate_xy, grow_tree
 
 __all__ = ["GbtModel", "fit_gbt"]
 
@@ -44,69 +40,11 @@ class GbtModel:
         return acc
 
 
-def _best_gain_split(x, g, idx, reg_lambda, gain_base):
-    """Highest-gain split of rows idx, or None. Hessians are all 1, so
-    child hessian sums are the child row counts. Ties resolve to the
-    lowest feature index, then the lowest threshold."""
-    n = idx.size
-    best = None  # (gain, feature, threshold, order, left_count)
-    for f in range(x.shape[1]):
-        order = np.argsort(x[idx, f], kind="stable")
-        xs = x[idx[order], f]
-        go = g[idx[order]]
-        cg = np.cumsum(go)
-        sizes = np.arange(1, n)
-        sizes = sizes[xs[sizes - 1] < xs[sizes]]
-        if sizes.size == 0:
-            continue
-        gl = cg[sizes - 1]
-        gr = cg[-1] - gl
-        gain = 0.5 * (gl * gl / (sizes + reg_lambda)
-                      + gr * gr / ((n - sizes) + reg_lambda)) - gain_base
-        j = int(np.argmax(gain))  # first maximum: lowest threshold
-        if best is None or gain[j] > best[0]:
-            i = int(sizes[j])
-            thr = (xs[i - 1] + xs[i]) / 2.0
-            best = (float(gain[j]), int(f), thr, order, i)
-    return best
-
-
-def _grow_gbt_tree(x, g, max_depth, reg_lambda, gamma) -> Tree:
-    builder = _Builder()
-    stack = [(np.arange(x.shape[0]), 0, -1, "l")]
-    while stack:
-        idx, depth, parent, side = stack.pop()
-        node = builder.add()
-        if parent >= 0:
-            if side == "l":
-                builder.left[parent] = node
-            else:
-                builder.right[parent] = node
-        gsum = float(g[idx].sum())
-        hsum = float(idx.size)  # unit hessians
-        builder.value[node] = -gsum / (hsum + reg_lambda)
-        if idx.size < 2 or (max_depth is not None and depth >= max_depth):
-            continue
-        gain_base = 0.5 * gsum * gsum / (hsum + reg_lambda) + gamma
-        best = _best_gain_split(x, g, idx, reg_lambda, gain_base)
-        if best is None or best[0] <= 0.0:
-            continue
-        _, f, thr, order, i = best
-        builder.feature[node] = f
-        builder.threshold[node] = thr
-        stack.append((idx[order[i:]], depth + 1, node, "r"))
-        stack.append((idx[order[:i]], depth + 1, node, "l"))
-    return builder.finish()
-
-
 def fit_gbt(features, targets, *, rounds: int = 150, learning_rate: float = 0.3,
             max_depth: int | None = 6, reg_lambda: float = 1.0,
-            gamma: float = 0.0, seed=None) -> GbtModel:
-    """Boost `rounds` trees on squared loss.
-
-    seed is accepted for interface symmetry with the other learners and
-    recorded by the caller; growth itself has no random choices.
-    """
+            gamma: float = 0.0) -> GbtModel:
+    """Boost `rounds` trees on squared loss. Growth has no random choices,
+    so the fit takes no seed."""
     x, y = _validate_xy(features, targets)
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -116,8 +54,8 @@ def fit_gbt(features, targets, *, rounds: int = 150, learning_rate: float = 0.3,
     pred = np.full(x.shape[0], base, dtype=np.float64)
     trees: list[Tree] = []
     for _ in range(rounds):
-        g = pred - y
-        tree = _grow_gbt_tree(x, g, max_depth, reg_lambda, gamma)
+        tree = grow_tree(x, pred - y, max_depth=max_depth, min_leaf=1,
+                         reg_lambda=reg_lambda, gamma=gamma)
         pred += learning_rate * tree.predict(x)
         trees.append(tree)
     return GbtModel(base, learning_rate, trees)

@@ -86,14 +86,11 @@ def loss_and_grads(weights, biases, x, y):
 
 def fit_mlp(features, targets, *, hidden: tuple[int, ...] = (200, 200, 200, 200, 200),
             epochs: int = 80, batch_size: int = 64, learning_rate: float = 1e-3,
-            seed=None, standardize: bool = True) -> Mlp:
+            seed=None) -> Mlp:
     """Train the network with Adam; deterministic for a fixed seed.
 
     Hidden layers start from scaled normal draws; the output layer starts
     at zero, so an untrained model predicts the target mean exactly.
-    standardize=False feeds raw feature columns (the output head then
-    starts at the raw target mean); it exists for comparison runs and is
-    not the recommended mode at pixel scales.
     """
     x, y = _validate_xy(features, targets)
     if any(h < 1 for h in hidden):
@@ -101,17 +98,11 @@ def fit_mlp(features, targets, *, hidden: tuple[int, ...] = (200, 200, 200, 200,
     if epochs < 0 or batch_size < 1 or learning_rate <= 0:
         raise ValueError("bad training parameters")
 
-    if standardize:
-        x_mean = x.mean(axis=0)
-        x_std = x.std(axis=0)
-        x_std[x_std == 0.0] = 1.0
-        y_mean = float(y.mean())
-        y_std = float(y.std()) or 1.0
-    else:
-        x_mean = np.zeros(x.shape[1])
-        x_std = np.ones(x.shape[1])
-        y_mean = float(y.mean())
-        y_std = 1.0
+    x_mean = x.mean(axis=0)
+    x_std = x.std(axis=0)
+    x_std[x_std == 0.0] = 1.0
+    y_mean = float(y.mean())
+    y_std = float(y.std()) or 1.0
     xs = (x - x_mean) / x_std
     ys = (y - y_mean) / y_std
 

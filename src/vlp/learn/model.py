@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numpy as np
 
+from ..errors import MalformedModel
 from ..geometry import Vec3
 from .tree import Tree, fit_tree
 from .forest import Forest, fit_forest
@@ -29,6 +30,7 @@ _FITTERS = {
     "gbt": fit_gbt,
     "mlp": fit_mlp,
 }
+_SEEDED = ("forest", "mlp")  # the fitters that draw random numbers
 
 
 class PositionModel:
@@ -74,8 +76,8 @@ def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
     axis_seeds = np.random.SeedSequence(seed).generate_state(3, np.uint64)
     submodels = []
     for axis in range(3):
-        key = "rng" if kind == "tree" else "seed"
-        submodels.append(fitter(x, y[:, axis], **{key: int(axis_seeds[axis])}, **params))
+        seeded = {"seed": int(axis_seeds[axis])} if kind in _SEEDED else {}
+        submodels.append(fitter(x, y[:, axis], **seeded, **params))
     return PositionModel(kind, submodels, seed, params)
 
 
@@ -148,10 +150,20 @@ def save_model(model: PositionModel, path) -> None:
 
 
 def load_model(path) -> PositionModel:
+    """Read a model written by save_model. Raises MalformedModel on invalid
+    JSON, a wrong format tag, an unknown kind or a missing field."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_TAG:
-        raise ValueError(f"not a {FORMAT_TAG} document")
-    kind = doc["kind"]
-    subs = [_axis_from_doc(kind, doc["axes"][a]) for a in AXES]
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise MalformedModel(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
+        raise MalformedModel(f"{path}: not a {FORMAT_TAG} document")
+    kind = doc.get("kind")
+    if kind not in _FITTERS:
+        raise MalformedModel(f"{path}: unknown model kind {kind!r}")
+    try:
+        subs = [_axis_from_doc(kind, doc["axes"][a]) for a in AXES]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedModel(f"{path}: bad {kind} model: {exc!r}") from exc
     return PositionModel(kind, subs, doc.get("seed"), doc.get("hyperparameters", {}))

@@ -1,4 +1,5 @@
-"""CART regression trees with exact greedy squared-error splits.
+"""Regression trees and the one exact greedy grower behind CART trees,
+bagged forests and gradient-boosted trees.
 
 Trees are stored as flat parallel node arrays rather than linked node
 objects: node i is a split when feature[i] >= 0 (rows with
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tree", "fit_tree"]
+__all__ = ["Tree", "fit_tree", "grow_tree"]
 
 
 class Tree:
@@ -64,29 +65,6 @@ class Tree:
     __hash__ = None
 
 
-class _Builder:
-    """Accumulates node records during recursive growth."""
-
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def add(self) -> int:
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return idx
-
-    def finish(self) -> Tree:
-        return Tree(self.feature, self.threshold, self.left, self.right, self.value)
-
-
 def _validate_xy(features, targets):
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -101,90 +79,81 @@ def _validate_xy(features, targets):
     return x, y
 
 
-def _best_split(x, y, idx, columns, min_leaf):
-    """Lowest-SSE split of the rows `idx`, or None.
+def grow_tree(x, g, *, max_depth: int | None, min_leaf: int, reg_lambda: float,
+              gamma: float) -> Tree:
+    """Grow one tree on per-row gradients g with unit hessians.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values. Ties resolve to the lowest feature index, then the lowest
-    threshold, which the ascending scan order gives for free.
+    Every node scans all features at midpoints between consecutive distinct
+    sorted values and takes the split of highest second-order gain
+
+        gain = 1/2 * [G_L^2/(n_L + lambda) + G_R^2/(n_R + lambda)
+                      - G^2/(n + lambda)] - gamma,
+
+    splitting only when gain > 0. Ties resolve to the lowest feature index,
+    then the lowest threshold, which the ascending scan order gives for
+    free. A node holds -G/(n + lambda). Growth stops at max_depth (None =
+    unlimited), when a child would fall below min_leaf rows, or at a
+    constant gradient.
+
+    With lambda = gamma = 0 and g = -y (the squared-loss gradient at
+    prediction 0) the gain is half the SSE reduction and the node value is
+    the mean target: this is CART.
     """
-    n = idx.size
-    best = None  # (sse, feature, threshold, order, left_count)
-    for f in columns:
-        order = np.argsort(x[idx, f], kind="stable")
-        xs = x[idx[order], f]
-        yo = y[idx[order]]
-        c1 = np.cumsum(yo)
-        c2 = np.cumsum(yo * yo)
-        sizes = np.arange(min_leaf, n - min_leaf + 1)
-        sizes = sizes[xs[sizes - 1] < xs[sizes]]
-        if sizes.size == 0:
+    nodes = []  # [feature, threshold, left, right, value] per node, preorder
+    # explicit stack, preorder: deep trees must not hit the recursion limit;
+    # the left child is popped right after its parent, so it is node + 1
+    stack = [(np.arange(x.shape[0]), 0, None)]
+    while stack:
+        idx, depth, right_of = stack.pop()
+        node = len(nodes)
+        if right_of is not None:
+            nodes[right_of][3] = node
+        n = idx.size
+        gi = g[idx]
+        gsum = float(gi.sum())
+        nodes.append([-1, 0.0, -1, -1, -gsum / (n + reg_lambda)])
+        # no split of a constant gradient has positive exact gain; rounding
+        # in the prefix sums must not split one
+        if (n < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
+                or gi.min() == gi.max()):
             continue
-        sl = c1[sizes - 1]
-        sse_l = c2[sizes - 1] - sl * sl / sizes
-        sr = c1[-1] - sl
-        nr = n - sizes
-        sse_r = (c2[-1] - c2[sizes - 1]) - sr * sr / nr
-        total = sse_l + sse_r
-        j = int(np.argmin(total))  # first minimum: lowest threshold
-        if best is None or total[j] < best[0]:
-            i = int(sizes[j])
-            thr = (xs[i - 1] + xs[i]) / 2.0
-            best = (float(total[j]), int(f), thr, order, i)
-    return best
+        gain_base = 0.5 * gsum * gsum / (n + reg_lambda) + gamma
+        sizes = np.arange(min_leaf, n - min_leaf + 1)
+        best = None  # (gain, feature, threshold, order, left_count)
+        for f in range(x.shape[1]):
+            order = np.argsort(x[idx, f], kind="stable")
+            xs = x[idx[order], f]
+            cg = np.cumsum(gi[order])
+            ok = sizes[xs[sizes - 1] < xs[sizes]]
+            if ok.size == 0:
+                continue
+            gl = cg[ok - 1]
+            gr = cg[-1] - gl
+            gain = 0.5 * (gl * gl / (ok + reg_lambda)
+                          + gr * gr / ((n - ok) + reg_lambda)) - gain_base
+            j = int(np.argmax(gain))  # first maximum: lowest threshold
+            if best is None or gain[j] > best[0]:
+                i = int(ok[j])
+                best = (float(gain[j]), f, (xs[i - 1] + xs[i]) / 2.0, order, i)
+        if best is None or best[0] <= 0.0:
+            continue
+        _, f, thr, order, i = best
+        nodes[node][:3] = f, thr, node + 1
+        stack.append((idx[order[i:]], depth + 1, node))
+        stack.append((idx[order[:i]], depth + 1, None))
+    return Tree(*zip(*nodes))
 
 
 def fit_tree(features, targets, *, max_depth: int | None = None,
-             min_samples_leaf: int = 1, feature_subset: int | None = None,
-             rng=None) -> Tree:
-    """Grow a regression tree by exact greedy recursive partitioning.
+             min_samples_leaf: int = 1) -> Tree:
+    """Grow a CART regression tree by exact greedy recursive partitioning.
 
-    Every node scans all allowed features at midpoints between consecutive
-    distinct sorted values and takes the split minimizing the summed squared
-    error of the child means. Growth stops at max_depth (None = unlimited),
-    when a child would fall below min_samples_leaf, or at zero variance.
-    feature_subset, when smaller than the feature count, samples that many
-    columns per node from rng (the bagging hook; unused by default).
+    Each split minimizes the summed squared error of the child means.
+    Growth stops at max_depth (None = unlimited), when a child would fall
+    below min_samples_leaf, or at zero variance.
     """
     x, y = _validate_xy(features, targets)
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be >= 1")
-    n_features = x.shape[1]
-    if feature_subset is not None and not (1 <= feature_subset <= n_features):
-        raise ValueError("feature_subset out of range")
-    use_subset = feature_subset is not None and feature_subset < n_features
-    if use_subset:
-        rng = np.random.default_rng(rng)
-    builder = _Builder()
-
-    # explicit stack, preorder: deep trees must not hit the recursion limit
-    stack = [(np.arange(x.shape[0]), 0, -1, "l")]
-    while stack:
-        idx, depth, parent, side = stack.pop()
-        node = builder.add()
-        if parent >= 0:
-            if side == "l":
-                builder.left[parent] = node
-            else:
-                builder.right[parent] = node
-        ys = y[idx]
-        # mean over ascending row order so the value is independent of how
-        # the partition happened to be built
-        builder.value[node] = float(y[np.sort(idx)].mean())
-        if (idx.size < 2 * min_samples_leaf
-                or (max_depth is not None and depth >= max_depth)
-                or ys.min() == ys.max()):
-            continue
-        if use_subset:
-            columns = np.sort(rng.choice(n_features, size=feature_subset, replace=False))
-        else:
-            columns = range(n_features)
-        best = _best_split(x, y, idx, columns, min_samples_leaf)
-        if best is None:
-            continue
-        _, f, thr, order, i = best
-        builder.feature[node] = f
-        builder.threshold[node] = thr
-        stack.append((idx[order[i:]], depth + 1, node, "r"))
-        stack.append((idx[order[:i]], depth + 1, node, "l"))
-    return builder.finish()
+    return grow_tree(x, -y, max_depth=max_depth, min_leaf=min_samples_leaf,
+                     reg_lambda=0.0, gamma=0.0)

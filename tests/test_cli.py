@@ -139,6 +139,19 @@ def test_vlp_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"format":"vlp-model/1","kind":"bogus","axes":{}}',
+    '{"format":"vlp-model/1","kind":"gbt","axes":{"x":{"trees":[',
+])
+def test_eval_malformed_model_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc = main(["eval", "--model", str(bad), "--data", str(tmp_path / "d.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.json" in err
+
+
 def test_argparse_rejects_bad_usage(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -28,6 +28,7 @@ from vlp.learn import (
     predict_position,
     save_model,
 )
+from vlp.errors import MalformedModel
 from vlp.geometry import Vec3
 
 
@@ -107,22 +108,20 @@ def test_tree_validation():
     with pytest.raises(ValueError):
         fit_tree(x, y, min_samples_leaf=0)
     with pytest.raises(ValueError):
-        fit_tree(x, y, feature_subset=5)
-    with pytest.raises(ValueError):
         Tree([], [], [], [], [])
 
 
 # --------------------------------------------------------------- forest
 
 
-def test_forest_without_bootstrap_is_the_tree():
+def test_forest_trees_are_trees_on_seeded_resamples():
     g = rng(7)
     x = g.normal(size=(30, 2))
     y = g.normal(size=30)
-    forest = fit_forest(x, y, n_trees=3, bootstrap=False, seed=1)
-    single = fit_tree(x, y)
-    assert all(t == single for t in forest.trees)
-    np.testing.assert_allclose(forest.predict(x), single.predict(x))
+    forest = fit_forest(x, y, n_trees=3, seed=1)
+    for tree, child in zip(forest.trees, np.random.SeedSequence(1).spawn(3)):
+        rows = np.random.default_rng(child).integers(0, 30, size=30)
+        assert tree == fit_tree(x[rows], y[rows])
 
 
 def test_forest_predict_is_member_mean():
@@ -210,6 +209,17 @@ def test_gbt_interpolates_without_regularization():
     np.testing.assert_allclose(model.predict(x), y, atol=1e-10)
 
 
+def test_gbt_unregularized_round_is_the_cart_tree():
+    # one grower: the first boosting round on residuals y - base with
+    # lambda = gamma = 0 is the CART tree on those residuals
+    g = rng(26)
+    x = g.normal(size=(200, 4))
+    y = g.normal(size=200)
+    model = fit_gbt(x, y, rounds=1, learning_rate=1.0, reg_lambda=0.0,
+                    max_depth=None)
+    assert model.trees[0] == fit_tree(x, y - model.base_score)
+
+
 def test_gbt_training_error_is_monotone():
     g = rng(23)
     x = g.normal(size=(80, 4))
@@ -264,9 +274,8 @@ def test_mlp_zero_epochs_predicts_mean():
     g = rng(33)
     x = g.normal(size=(20, 8))
     y = g.normal(size=20) + 5.0
-    for standardize in (True, False):
-        model = fit_mlp(x, y, hidden=(6,), epochs=0, standardize=standardize)
-        np.testing.assert_allclose(model.predict(x), y.mean(), atol=1e-12)
+    model = fit_mlp(x, y, hidden=(6,), epochs=0)
+    np.testing.assert_allclose(model.predict(x), y.mean(), atol=1e-12)
 
 
 def test_mlp_learns_a_linear_map():
@@ -364,4 +373,17 @@ def test_position_model_validation(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format":"something-else"}\n')
     with pytest.raises(ValueError, match="not a"):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"format":"vlp-model/1","kind":"bogus","axes":{}}', "unknown model kind"),
+    ('{"format":"vlp-model/1","kind":"gbt","axes":{"x":{}}}', "bad gbt model"),
+    ('{"format":"vlp-model/1","kind":"tree","ax', "not JSON"),
+    ('[1, 2]', "not a vlp-model/1"),
+])
+def test_load_model_malformed(tmp_path, text, match):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(MalformedModel, match=match):
         load_model(bad)
