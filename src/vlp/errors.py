@@ -22,6 +22,10 @@ class MalformedModel(VlpError, ValueError):
     unknown kind or lacks a field."""
 
 
+class BadFeatures(VlpError, ValueError):
+    """Feature input to a position model is not a finite (N, 8) matrix."""
+
+
 class MalformedIes(VlpError):
     """IES photometric file could not be parsed."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import Tree, _validate_xy, grow_tree
+from .tree import Tree, _check_depth, _validate_xy, grow_tree
 
 __all__ = ["GbtModel", "fit_gbt"]
 
@@ -48,6 +48,9 @@ def fit_gbt(features, targets, *, rounds: int = 150, learning_rate: float = 0.3,
     x, y = _validate_xy(features, targets)
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
+    _check_depth(max_depth)
     if reg_lambda < 0 or gamma < 0:
         raise ValueError("penalties must be >= 0")
     base = float(y.mean())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import numpy as np
 
-from ..errors import MalformedModel
+from ..errors import BadFeatures, MalformedModel
 from ..geometry import Vec3
 from .tree import Tree, fit_tree
 from .forest import Forest, fit_forest
@@ -23,6 +23,7 @@ __all__ = ["PositionModel", "fit_position_model", "predict_position",
 
 FORMAT_TAG = "vlp-model/1"
 AXES = ("x", "y", "z")
+N_FEATURES = 8  # (u, v) pixel coordinates of the four panel corners
 
 _FITTERS = {
     "tree": fit_tree,
@@ -49,28 +50,39 @@ class PositionModel:
         self.hyperparameters = dict(hyperparameters)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """(N, 3) predictions for an (N, 8) feature matrix."""
+        """(N, 3) predictions for an (N, 8) feature matrix or one 8-vector.
+        Raises BadFeatures on any other shape or a non-finite entry."""
         x = np.asarray(features, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
+        _check_features(x)
         return np.stack([m.predict(x) for m in self.submodels], axis=1)
+
+
+def _check_features(x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != N_FEATURES:
+        raise BadFeatures(f"features must be (N, {N_FEATURES}), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise BadFeatures("features contain a non-finite value")
 
 
 def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
                        **params) -> PositionModel:
     """Train one submodel per target column with seeds derived per axis.
 
-    features: (N, 8); targets: (N, 3). Extra keyword params pass through
-    to the underlying fitter. seed=None draws a fresh root seed, which is
-    recorded on the model so the fit stays reproducible after the fact.
+    features: a finite (N, 8) matrix, else BadFeatures; targets: (N, 3).
+    Extra keyword params pass through to the underlying fitter. seed=None
+    draws a fresh root seed, which is recorded on the model so the fit
+    stays reproducible after the fact.
     """
     fitter = _FITTERS.get(kind)
     if fitter is None:
         raise ValueError(f"unknown model kind {kind!r}")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or y.shape != (x.shape[0], 3):
-        raise ValueError("features must be (N, d) and targets (N, 3)")
+    _check_features(x)
+    if y.shape != (x.shape[0], 3):
+        raise ValueError("targets must be (N, 3)")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
     axis_seeds = np.random.SeedSequence(seed).generate_state(3, np.uint64)

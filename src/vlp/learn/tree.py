@@ -79,21 +79,26 @@ def _validate_xy(features, targets):
     return x, y
 
 
+def _check_depth(max_depth):
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("max_depth must be >= 0 or None")
+
+
 def grow_tree(x, g, *, max_depth: int | None, min_leaf: int, reg_lambda: float,
               gamma: float) -> Tree:
     """Grow one tree on per-row gradients g with unit hessians.
 
-    Every node scans all features at midpoints between consecutive distinct
-    sorted values and takes the split of highest second-order gain
+    Every node scores all features at once, at midpoints between
+    consecutive distinct sorted values, and takes the split of highest
+    second-order gain
 
         gain = 1/2 * [G_L^2/(n_L + lambda) + G_R^2/(n_R + lambda)
                       - G^2/(n + lambda)] - gamma,
 
     splitting only when gain > 0. Ties resolve to the lowest feature index,
-    then the lowest threshold, which the ascending scan order gives for
-    free. A node holds -G/(n + lambda). Growth stops at max_depth (None =
-    unlimited), when a child would fall below min_leaf rows, or at a
-    constant gradient.
+    then the lowest threshold. A node holds -G/(n + lambda). Growth stops
+    at max_depth (None = unlimited), when a child would fall below min_leaf
+    rows, or at a constant gradient.
 
     With lambda = gamma = 0 and g = -y (the squared-loss gradient at
     prediction 0) the gain is half the SSE reduction and the node value is
@@ -117,30 +122,29 @@ def grow_tree(x, g, *, max_depth: int | None, min_leaf: int, reg_lambda: float,
         if (n < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
                 or gi.min() == gi.max()):
             continue
-        gain_base = 0.5 * gsum * gsum / (n + reg_lambda) + gamma
-        sizes = np.arange(min_leaf, n - min_leaf + 1)
-        best = None  # (gain, feature, threshold, order, left_count)
-        for f in range(x.shape[1]):
-            order = np.argsort(x[idx, f], kind="stable")
-            xs = x[idx[order], f]
-            cg = np.cumsum(gi[order])
-            ok = sizes[xs[sizes - 1] < xs[sizes]]
-            if ok.size == 0:
-                continue
-            gl = cg[ok - 1]
-            gr = cg[-1] - gl
-            gain = 0.5 * (gl * gl / (ok + reg_lambda)
-                          + gr * gr / ((n - ok) + reg_lambda)) - gain_base
-            j = int(np.argmax(gain))  # first maximum: lowest threshold
-            if best is None or gain[j] > best[0]:
-                i = int(ok[j])
-                best = (float(gain[j]), f, (xs[i - 1] + xs[i]) / 2.0, order, i)
-        if best is None or best[0] <= 0.0:
+        # column f of order/xs/cg is feature f sorted on its own; row k of
+        # the gain matrix puts the first k + min_leaf sorted rows left
+        xi = x[idx]
+        order = np.argsort(xi, axis=0, kind="stable")
+        xs = np.take_along_axis(xi, order, axis=0)
+        cg = np.cumsum(gi[order], axis=0)
+        sizes = np.arange(min_leaf, n - min_leaf + 1)[:, None]
+        gl = cg[min_leaf - 1 : n - min_leaf]
+        gr = cg[-1] - gl
+        gain = 0.5 * (gl * gl / (sizes + reg_lambda)
+                      + gr * gr / ((n - sizes) + reg_lambda))
+        gain -= 0.5 * gsum * gsum / (n + reg_lambda) + gamma
+        # no cut between equal values
+        gain[xs[min_leaf - 1 : n - min_leaf] == xs[min_leaf:n - min_leaf + 1]] = -np.inf
+        # features as the outer axis: the first maximum is the lowest
+        # feature, then the lowest threshold
+        f, k = divmod(int(np.argmax(gain.T)), gain.shape[0])
+        if not gain[k, f] > 0.0:
             continue
-        _, f, thr, order, i = best
-        nodes[node][:3] = f, thr, node + 1
-        stack.append((idx[order[i:]], depth + 1, node))
-        stack.append((idx[order[:i]], depth + 1, None))
+        i = k + min_leaf
+        nodes[node][:3] = f, (xs[i - 1, f] + xs[i, f]) / 2.0, node + 1
+        stack.append((idx[order[i:, f]], depth + 1, node))
+        stack.append((idx[order[:i, f]], depth + 1, None))
     return Tree(*zip(*nodes))
 
 
@@ -153,6 +157,7 @@ def fit_tree(features, targets, *, max_depth: int | None = None,
     below min_samples_leaf, or at zero variance.
     """
     x, y = _validate_xy(features, targets)
+    _check_depth(max_depth)
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be >= 1")
     return grow_tree(x, -y, max_depth=max_depth, min_leaf=min_samples_leaf,

@@ -36,6 +36,58 @@ def exhaustive_tree_sse(x: np.ndarray, y: np.ndarray, depth: int) -> float:
             + exhaustive_tree_sse(x[~mask], y[~mask], depth - 1))
 
 
+def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, min_leaf: int,
+                        reg_lambda: float, gamma: float):
+    """The exact grower one feature at a time, as vlp.learn.tree.grow_tree
+    documents it: per feature, sort the node's rows stably, take prefix
+    sums of g, score every cut between distinct values by the
+    second-order gain, and keep a candidate only on strict improvement, so
+    ties go to the lowest feature, then the lowest threshold. The arithmetic
+    matches grow_tree element by element, so the trees must be equal.
+    """
+    from vlp.learn import Tree
+
+    nodes = []  # [feature, threshold, left, right, value] per node, preorder
+    stack = [(np.arange(x.shape[0]), 0, None)]
+    while stack:
+        idx, depth, right_of = stack.pop()
+        node = len(nodes)
+        if right_of is not None:
+            nodes[right_of][3] = node
+        n = idx.size
+        gi = g[idx]
+        gsum = float(gi.sum())
+        nodes.append([-1, 0.0, -1, -1, -gsum / (n + reg_lambda)])
+        if (n < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
+                or gi.min() == gi.max()):
+            continue
+        gain_base = 0.5 * gsum * gsum / (n + reg_lambda) + gamma
+        sizes = np.arange(min_leaf, n - min_leaf + 1)
+        best = None  # (gain, feature, threshold, order, left_count)
+        for f in range(x.shape[1]):
+            order = np.argsort(x[idx, f], kind="stable")
+            xs = x[idx[order], f]
+            cg = np.cumsum(gi[order])
+            ok = sizes[xs[sizes - 1] < xs[sizes]]
+            if ok.size == 0:
+                continue
+            gl = cg[ok - 1]
+            gr = cg[-1] - gl
+            gain = 0.5 * (gl * gl / (ok + reg_lambda)
+                          + gr * gr / ((n - ok) + reg_lambda)) - gain_base
+            j = int(np.argmax(gain))
+            if best is None or gain[j] > best[0]:
+                i = int(ok[j])
+                best = (float(gain[j]), f, (xs[i - 1] + xs[i]) / 2.0, order, i)
+        if best is None or best[0] <= 0.0:
+            continue
+        _, f, thr, order, i = best
+        nodes[node][:3] = f, thr, node + 1
+        stack.append((idx[order[i:]], depth + 1, node))
+        stack.append((idx[order[:i]], depth + 1, None))
+    return Tree(*zip(*nodes))
+
+
 def tree_sse(tree, x: np.ndarray, y: np.ndarray) -> float:
     pred = tree.predict(x)
     return float(np.sum((pred - y) ** 2))

@@ -2,6 +2,9 @@
 single pass/fail verdict line straight to the terminal (bypassing pytest's
 capture) before asserting, so a full run always shows all nine verdicts.
 
+Gates 1, 5, 6, 7 and 9 take minutes each and carry the `slow` marker, so
+`pytest -m "not slow"` runs everything else; the full run includes them.
+
 Criterion 6 measures extrapolation across a height gap wider than the
 feature scale of the training sweep; its mean-error clause is not reachable
 by piecewise-constant models and the test reports that honestly. The
@@ -57,6 +60,7 @@ def model_selection(tmp_path_factory, intr, panel):
     return reports, time.monotonic() - t0
 
 
+@pytest.mark.slow
 def test_criterion_1_codec_round_trip(capsys, intr, panel):
     """All 256 ids survive encode -> shutter render -> extract -> decode ->
     match at every grid pose that keeps the panel in frame at the four
@@ -166,6 +170,7 @@ def test_criterion_4_mlp_gradient_check(capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_in_distribution_fit(capsys, model_selection):
     """GBT trained on 8 noisy captures per location, tested on the held-out
     2: clean test features under 1 cm mean, default-noise test features
@@ -181,6 +186,7 @@ def test_criterion_5_in_distribution_fit(capsys, model_selection):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_height_generalization(capsys, tmp_path_factory,
                                             intr, panel):
     """Train on a clean pose sweep at 1.56/1.76 m, test on noisy captures at
@@ -204,6 +210,7 @@ def test_criterion_6_height_generalization(capsys, tmp_path_factory,
                 "gap; see the README accuracy notes")
 
 
+@pytest.mark.slow
 def test_criterion_7_model_ranking(capsys, model_selection):
     """On the clean held-out captures: p90 gbt <= forest < mlp, and the gbt
     error CDF dominates the forest CDF at the forest's p90."""
@@ -234,6 +241,7 @@ def test_criterion_8_sweep_retention_ordering(capsys, intr, panel):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_9_thread_count_determinism(capsys, tmp_path):
     """Each study rerun with the same seed emits byte-identical report
     trees when the BLAS/OpenMP thread counts differ. Studies run at a

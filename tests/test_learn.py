@@ -10,6 +10,7 @@ from helpers import (
     exhaustive_tree_sse,
     finite_difference_worst_rel,
     gbt_leaf_identity_errors,
+    reference_grow_tree,
     tree_sse,
     walk_leaves,
 )
@@ -28,7 +29,8 @@ from vlp.learn import (
     predict_position,
     save_model,
 )
-from vlp.errors import MalformedModel
+from vlp.errors import BadFeatures, MalformedModel
+from vlp.learn.tree import grow_tree
 from vlp.geometry import Vec3
 
 
@@ -108,7 +110,29 @@ def test_tree_validation():
     with pytest.raises(ValueError):
         fit_tree(x, y, min_samples_leaf=0)
     with pytest.raises(ValueError):
+        fit_tree(x, y, max_depth=-1)
+    with pytest.raises(ValueError):
         Tree([], [], [], [], [])
+
+
+def test_grow_tree_matches_reference_grower():
+    # the all-features-at-once grower against the per-feature loop, on
+    # continuous and rounded (tie-heavy) data, gbt and CART settings
+    g = rng(102)
+    for k in range(300):
+        n = int(g.integers(1, 50))
+        d = int(g.integers(1, 9))
+        x = g.normal(size=(n, d))
+        grad = g.normal(size=n)
+        if k % 2:
+            x = np.round(x, 1)
+            grad = np.round(grad, 1)
+        params = {"max_depth": (None, 1, 3, 8)[k % 4],
+                  "min_leaf": int(g.integers(1, 4)),
+                  "reg_lambda": (0.0, 0.3, 1.0)[k % 3],
+                  "gamma": 0.05 if k % 5 == 0 else 0.0}
+        want = reference_grow_tree(x, grad, **params)
+        assert grow_tree(x, grad, **params) == want, (k, params)
 
 
 # --------------------------------------------------------------- forest
@@ -164,6 +188,8 @@ def test_forest_validation():
         fit_forest(x, np.zeros(4), n_trees=0)
     with pytest.raises(ValueError):
         fit_forest(x[:1], np.zeros(1))
+    with pytest.raises(ValueError):
+        fit_forest(x, np.zeros(4), max_depth=-1)
 
 
 # ------------------------------------------------------------------ gbt
@@ -260,6 +286,11 @@ def test_gbt_validation():
         fit_gbt(x, y, reg_lambda=-0.1)
     with pytest.raises(ValueError):
         fit_gbt(x, y, gamma=-0.1)
+    with pytest.raises(ValueError):
+        fit_gbt(x, y, max_depth=-1)
+    for rate in (0.0, -0.3):
+        with pytest.raises(ValueError):
+            fit_gbt(x, y, learning_rate=rate)
 
 
 # ------------------------------------------------------------------ mlp
@@ -355,6 +386,21 @@ def test_position_model_save_load_bit_exact(kind, tmp_path):
     back = load_model(path)
     assert back.kind == kind and back.seed == 3
     np.testing.assert_array_equal(back.predict(x), model.predict(x))
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))
+def test_position_model_rejects_bad_features(kind):
+    x, y = _toy_xy(seed=54)
+    nan_row = x.copy()
+    nan_row[3, 5] = np.nan
+    for bad in (x[:, :7], nan_row, x[0, :7]):
+        with pytest.raises(BadFeatures):
+            fit_position_model(bad, y, kind, seed=4, **_KIND_PARAMS[kind])
+    model = fit_position_model(x, y, kind, seed=4, **_KIND_PARAMS[kind])
+    for bad in (x[:, :7], nan_row, x[0, :7], np.append(x[0], 1.0)):
+        with pytest.raises(BadFeatures):
+            model.predict(bad)
+    assert model.predict(x[0]).shape == (1, 3)
 
 
 def test_position_model_same_seed_same_predictions():
