@@ -131,12 +131,11 @@ def extract_row_profile(frame: Frame, quad: CornerSet) -> RowProfile:
         raise EmptyQuad("quad rows are not contiguous inside the frame")
     c0 = int(col_lo.min())
     block = frame.pixels[row_lo + first : row_lo + last, c0 : int(col_hi.max()) + 1]
-    sums = np.cumsum(block, axis=1, dtype=np.int64)
-    idx = np.arange(block.shape[0])
-    hi_sum = sums[idx, col_hi - c0]
-    lo_sum = np.where(col_lo > c0, sums[idx, np.maximum(col_lo - 1 - c0, 0)], 0)
+    cols = np.arange(c0, c0 + block.shape[1])
+    inside = (cols >= col_lo[:, None]) & (cols <= col_hi[:, None])
+    sums = block.sum(axis=1, dtype=np.int64, where=inside)
     counts = (col_hi - col_lo + 1).astype(np.float64)
-    means = (hi_sum - lo_sum) / counts / 255.0
+    means = sums / counts / 255.0
     return RowProfile(values=means, row_start=row_lo + first)
 
 

@@ -63,6 +63,11 @@ class TooFewCorners(VisionFailure):
     """Corner detector found fewer candidates than requested."""
 
 
+class SaturatedFrame(VisionFailure):
+    """The bright blob spans the sensor's full height or width, so its
+    outline is the frame's edge, not the panel's."""
+
+
 class DegenerateQuad(VisionFailure):
     """Corner set contains duplicate or collinear points."""
 

@@ -321,9 +321,13 @@ def apply_rolling_shutter(frame: Frame, quad: CornerSet, w: Waveform, *,
         c0 = int(col_lo.min(initial=frame.width_px))
         c1 = int(col_hi.max(initial=-1))
         if c1 >= c0:
-            block = px[row_lo:row_hi, c0 : c1 + 1].astype(np.float64)
-            block *= factors[row_lo:row_hi, None]
-            px[row_lo:row_hi, c0 : c1 + 1] = np.rint(block).astype(np.uint8)
+            # In bands of 128 rows: a float64 copy of the whole panel (about
+            # 5 MB) is a fresh mapping whose pages fault in on every call.
+            for r in range(row_lo, row_hi, 128):
+                rows = slice(r, min(r + 128, row_hi))
+                block = px[rows, c0 : c1 + 1].astype(np.float64)
+                block *= factors[rows, None]
+                px[rows, c0 : c1 + 1] = np.rint(block, out=block)
     px.flags.writeable = False
     return Frame(px, meta, quad=frame.quad, fill=frame.fill, row_factors=factors)
 

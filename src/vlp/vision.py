@@ -2,9 +2,12 @@
 minimum-eigenvalue corner detection, and the canonical corner ordering that
 turns four pixel points into the 8-float feature vector.
 
-Masks are plain boolean arrays with the frame's shape. Corner coordinates
-use the same continuous pixel convention as the projector: pixel (r, c)
-covers the unit square centered at (c + 0.5, r + 0.5).
+Masks are plain boolean arrays. The public stages take and return masks of
+any shape; extract_corners binarizes the whole frame once and runs the rest
+on one crop around the set pixels (see _padded_bbox), adding the crop's
+origin back only in the final corner sum. Corner coordinates use the same
+continuous pixel convention as the projector: pixel (r, c) covers the unit
+square centered at (c + 0.5, r + 0.5).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 import numpy as np
 from scipy import ndimage, spatial
 
-from .errors import EmptyMask, TooFewCorners, VisionFailure
+from .errors import EmptyMask, SaturatedFrame, TooFewCorners, VisionFailure
 from .geometry import CornerSet, order_corners
 from .render import Frame
 
@@ -66,20 +69,27 @@ def close_mask(mask: np.ndarray, radius_px: int) -> np.ndarray:
     return erode(dilate(mask, radius_px), radius_px)
 
 
+def _padded_bbox(mask: np.ndarray, pad: int) -> tuple[slice, slice]:
+    """Row and column slices of the set pixels' bounding box, grown by pad
+    on every side and clipped at the mask's edge. Raises EmptyMask when no
+    pixel is set."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        raise EmptyMask("no set pixels")
+    cols = np.flatnonzero(mask.any(axis=0))
+    h, w = mask.shape
+    return (slice(max(0, rows[0] - pad), min(h, rows[-1] + pad + 1)),
+            slice(max(0, cols[0] - pad), min(w, cols[-1] + pad + 1)))
+
+
 def largest_component(mask: np.ndarray) -> np.ndarray:
     """The 8-connected component with the most pixels.
 
     Ties break toward the component whose topmost-leftmost pixel comes
     first in (row, col) order.
     """
-    row_any = mask.any(axis=1)
-    if not row_any.any():
-        raise EmptyMask("no set pixels")
-    col_any = mask.any(axis=0)
-    r0, r1 = np.flatnonzero(row_any)[[0, -1]]
-    c0, c1 = np.flatnonzero(col_any)[[0, -1]]
-    crop = mask[r0 : r1 + 1, c0 : c1 + 1]
-    labels, n = ndimage.label(crop, structure=_EIGHT_CONNECTED)
+    box = _padded_bbox(mask, 0)
+    labels, n = ndimage.label(mask[box], structure=_EIGHT_CONNECTED)
     counts = np.bincount(labels.ravel())
     counts[0] = 0
     best = int(counts.max())
@@ -89,7 +99,7 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
         flat = labels.ravel()
         tied = sorted(tied, key=lambda lab: int(np.flatnonzero(flat == lab)[0]))
     out = np.zeros(mask.shape, dtype=bool)
-    out[r0 : r1 + 1, c0 : c1 + 1] = labels == tied[0]
+    out[box] = labels == tied[0]
     return out
 
 
@@ -174,15 +184,20 @@ def detect_corners(mask: np.ndarray, count: int = 4, window: int = 5,
     edge-line intersection solve over each winner's neighborhood refines to
     sub-pixel. Returns a (count, 2) array of (u, v).
     """
+    return _detect_corners(mask, (0, 0), count, window, min_distance_px)
+
+
+def _detect_corners(mask: np.ndarray, origin: tuple[int, int], count: int,
+                    window: int, min_distance_px: int) -> np.ndarray:
+    """detect_corners on a crop whose top-left pixel sits at origin (row,
+    col) in the frame. The origin joins the region offset before the
+    sub-pixel estimate is added, so corners come out bit for bit as on the
+    full mask."""
     if window < 3 or window % 2 == 0:
         raise ValueError("window must be an odd size >= 3")
-    ys, xs = np.nonzero(mask)
-    if ys.size == 0:
-        raise EmptyMask("no set pixels")
-    pad = window + 4
-    r0, r1 = max(0, ys.min() - pad), min(mask.shape[0], ys.max() + pad + 1)
-    c0, c1 = max(0, xs.min() - pad), min(mask.shape[1], xs.max() + pad + 1)
-    region = mask[r0:r1, c0:c1].astype(np.float32)
+    rs, cs = _padded_bbox(mask, window + 4)
+    r0, c0 = rs.start, cs.start
+    region = mask[rs, cs].astype(np.float32)
     smooth = ndimage.gaussian_filter(region, sigma=1.0, mode="constant")
     gy, gx = np.gradient(smooth)
     score = _min_eigenvalue_scores(gx, gy, window)
@@ -211,7 +226,7 @@ def detect_corners(mask: np.ndarray, count: int = 4, window: int = 5,
     for i in range(count):
         r, c = keep_r[picks[i]], keep_c[picks[i]]
         rr, cc = _refine_corner(gx, gy, r, c, half)
-        out[i] = (cc + c0 + 0.5, rr + r0 + 0.5)
+        out[i] = (cc + (c0 + origin[1]) + 0.5, rr + (r0 + origin[0]) + 0.5)
     return out
 
 
@@ -250,14 +265,33 @@ def extract_corners(frame: Frame, *, threshold: int = 128, merge_radius: int = 0
 
     merge_radius closes stripe gaps first (use stripe_merge_radius when the
     frame was captured with a modulated LED; leave 0 for a steady render).
-    Raises VisionFailure (or a subclass) when no plausible quad is found.
+    Every stage after binarization runs on one crop of the mask around the
+    set pixels, and the corners equal the full-frame pipeline's bit for
+    bit. Raises VisionFailure (or a subclass) when no plausible quad is
+    found; SaturatedFrame when the blob spans the sensor's full height or
+    width, whose outline is then the frame's edge.
     """
     mask = binarize(frame, threshold)
+    # A pad of r + 1 keeps the closing exact on the crop: dilation reads only
+    # set pixels, all inside, and an erosion window that reaches past a crop
+    # edge also covers the crop's outermost line, more than r from every set
+    # pixel and so False after dilation. Closing grows nothing past the box
+    # except toward a sensor edge, where crop and frame share the edge, so a
+    # pad of window + 4 holds detect_corners' whole region too.
+    box = _padded_bbox(mask, max(merge_radius + 1, window + 4))
+    crop = mask[box]
     if merge_radius > 0:
-        mask = close_mask(mask, merge_radius)
-    component = largest_component(mask)
-    pts = detect_corners(component, count=4, window=window,
-                         min_distance_px=min_distance_px)
+        crop = close_mask(crop, merge_radius)
+    component = largest_component(crop)
+    # the blob is connected, so touching two opposite sensor edges spans them
+    h, w = mask.shape
+    if ((component.shape[0] == h and component[0].any() and component[-1].any())
+            or (component.shape[1] == w and component[:, 0].any()
+                and component[:, -1].any())):
+        raise SaturatedFrame(f"blob spans the full height or width of the "
+                             f"{w}x{h} sensor")
+    pts = _detect_corners(component, (box[0].start, box[1].start), 4,
+                          window, min_distance_px)
     corners = order_corners(pts)
     _check_quad(corners, component)
     return corners

@@ -27,7 +27,7 @@ from vlp.codec import (
 )
 from vlp.errors import AmbiguousMatch, EmptyQuad, NoMatch, NoTransitions, ProfileTooShort
 from vlp.geometry import Vec3
-from vlp.render import apply_rolling_shutter, base_brightness, rasterize_panel
+from vlp.render import _quad_row_spans, apply_rolling_shutter, base_brightness, rasterize_panel
 
 
 def test_id_bits_round_trip():
@@ -116,6 +116,23 @@ def test_extract_row_profile_means_interior(intr, panel):
         atol=1e-12,
     )
     assert profile.values.min() >= 0.0 and profile.values.max() <= 1.0
+
+
+def test_extract_row_profile_sums_each_rows_span(intr, panel):
+    """On a yawed, noisy quad every row has its own column span; each
+    profile value is that span's exact integer sum over its pixel count."""
+    pose = nadir_pose(0.1, -0.05, 1.3, yaw=27.0)
+    frame = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+    striped = apply_rolling_shutter(frame, frame.quad, dm_encode(0x5A), phase_us=9.0)
+    px = striped.pixels.copy()
+    px[::3, ::7] = 200  # so every in-quad pixel counts, not just the fill
+    noisy = type(striped)(px, striped.meta)
+    profile = extract_row_profile(noisy, striped.quad)
+    row_lo, _, col_lo, col_hi = _quad_row_spans(striped.quad.points, 1728, 2304)
+    assert profile.row_start == row_lo
+    for i, value in enumerate(profile.values):
+        span = px[row_lo + i, col_lo[i] : col_hi[i] + 1]
+        assert value == int(span.sum(dtype=np.int64)) / float(span.size) / 255.0
 
 
 def test_extract_row_profile_rejects_offscreen_quad(intr, panel):
