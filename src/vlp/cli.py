@@ -29,7 +29,7 @@ def _heights(raw: str) -> tuple[float, ...]:
 
 def _cmd_simulate(args) -> int:
     spec = SweepSpec(_heights(args.heights), args.step,
-                     GridSpec(args.extent, args.spacing), args.seed)
+                     GridSpec(args.extent, args.spacing))
     intr, panel = CameraIntrinsics(), LedPanel()
     ds = generate_sweep(spec, intr, panel)
     ds.to_csv(args.out)
@@ -172,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--step", type=int, default=45, help="attitude step, degrees")
     s.add_argument("--extent", type=float, default=1.2)
     s.add_argument("--spacing", type=float, default=0.2)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--render-dir", default=None, help="also write PGM frames here")
     s.add_argument("--render-limit", type=int, default=None)
     s.set_defaults(fn=_cmd_simulate)

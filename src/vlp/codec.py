@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     AmbiguousMatch,
     EmptyQuad,
+    MalformedCsv,
     NoMatch,
     NoTransitions,
     ProfileTooShort,
@@ -288,17 +289,21 @@ class LedDatabase:
     def from_csv(path) -> "LedDatabase":
         """Load `id,x,y,z` rows; ids in decimal or 0x-prefixed hex."""
         records = []
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8", errors="replace") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 if row[0].strip().lower() in ("id",):
                     continue  # header
                 if len(row) != 4:
-                    raise ValueError(f"{path}:{lineno}: expected id,x,y,z")
-                led_id = int(row[0].strip(), 0)
-                x, y, z = (float(v) for v in row[1:])
-                records.append(LedRecord(led_id, Vec3(x, y, z)))
+                    raise MalformedCsv(f"{path}:{lineno}: expected id,x,y,z")
+                try:
+                    records.append(LedRecord(int(row[0].strip(), 0),
+                                             Vec3(*(float(v) for v in row[1:]))))
+                except ValueError as exc:
+                    raise MalformedCsv(f"{path}:{lineno}: {exc}") from None
+        if not records:
+            raise MalformedCsv(f"{path}: no records")
         return LedDatabase(records)
 
 

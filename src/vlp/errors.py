@@ -22,6 +22,14 @@ class MalformedModel(VlpError, ValueError):
     unknown kind or lacks a field."""
 
 
+class MalformedFrame(VlpError, ValueError):
+    """Frame file is not an 8-bit binary PGM or its raster is cut short."""
+
+
+class MalformedCsv(VlpError, ValueError):
+    """CSV file has a bad cell, a row of the wrong width or no data rows."""
+
+
 class BadFeatures(VlpError, ValueError):
     """Feature input to a position model is not a finite (N, 8) matrix."""
 

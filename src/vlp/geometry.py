@@ -220,24 +220,28 @@ def order_corners(points) -> CornerSet:
     return CornerSet(pts[canonical_order(pts)])
 
 
-def _rx(deg: float) -> np.ndarray:
-    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=np.float64)
+def attitude_matrices(angles_deg: np.ndarray) -> np.ndarray:
+    """Rotation matrices Rz(yaw) @ Ry(pitch) @ Rx(roll) for an (M, 3) array
+    of roll, pitch, yaw in degrees, shape (M, 3, 3).
 
-
-def _ry(deg: float) -> np.ndarray:
-    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
-
-
-def _rz(deg: float) -> np.ndarray:
-    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
+    Each row of the stacked ``@`` chain rounds like the 3x3 product of that
+    pose alone, so a batch row equals attitude_to_matrix of the same angles
+    bit for bit; a three-operand einsum rounds differently.
+    """
+    r = np.radians(np.asarray(angles_deg, dtype=np.float64))
+    c, s = np.cos(r), np.sin(r)
+    rx, ry, rz = np.zeros((3, r.shape[0], 3, 3))
+    for k, m in enumerate((rx, ry, rz)):
+        i, j = (k + 1) % 3, (k + 2) % 3  # the plane that turns about axis k
+        m[:, k, k] = 1
+        m[:, i, i] = m[:, j, j] = c[:, k]
+        m[:, j, i], m[:, i, j] = s[:, k], -s[:, k]
+    return rz @ ry @ rx
 
 
 def attitude_to_matrix(att: Attitude) -> np.ndarray:
     """Rotation matrix for an attitude: Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    return _rz(att.yaw) @ _ry(att.pitch) @ _rx(att.roll)
+    return attitude_matrices(np.array([[att.roll, att.pitch, att.yaw]]))[0]
 
 
 def rotation_about_axis(axis: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -322,15 +326,15 @@ def batch_project_points(
     return np.stack([u, v], axis=-1), valid
 
 
+def on_sensor(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+    """Per quad of a (..., 4, 2) pixel array: True when all four points lie
+    inside [0, width) x [0, height)."""
+    return ((points >= 0) & (points < (intr.width_px, intr.height_px))).all(axis=(-2, -1))
+
+
 def in_fov(corners: CornerSet, intr: CameraIntrinsics) -> bool:
     """True when all four corners lie inside [0, width) x [0, height)."""
-    pts = corners.points
-    return bool(
-        np.all(pts[:, 0] >= 0)
-        and np.all(pts[:, 0] < intr.width_px)
-        and np.all(pts[:, 1] >= 0)
-        and np.all(pts[:, 1] < intr.height_px)
-    )
+    return bool(on_sensor(corners.points, intr))
 
 
 def backproject_to_panel_plane(intr: CameraIntrinsics, pose: Pose, u: float, v: float) -> Vec3:

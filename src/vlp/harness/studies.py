@@ -133,7 +133,7 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
 
     if cfg.study == "sim-vs-capture":
         sweep = generate_sweep(
-            SweepSpec(cfg.heights_capture, cfg.angle_step_deg, grid, cfg.seed),
+            SweepSpec(cfg.heights_capture, cfg.angle_step_deg, grid),
             intr, panel)
         caps = generate_capture_set(
             CaptureSpec(cfg.heights_capture, grid, cfg.per_location,
@@ -149,7 +149,7 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
 
     # height-generalization: train heights disjoint from test heights
     sweep = generate_sweep(
-        SweepSpec(cfg.heights_sweep_train, cfg.angle_step_deg, grid, cfg.seed),
+        SweepSpec(cfg.heights_sweep_train, cfg.angle_step_deg, grid),
         intr, panel)
     caps = generate_capture_set(
         CaptureSpec(cfg.heights_test, grid, cfg.per_location,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InsufficientRows, VisionFailure
+from ..errors import InsufficientRows, MalformedCsv, VisionFailure
 from ..geometry import (
     BASE_ALIGNMENT,
     Attitude,
@@ -24,10 +24,12 @@ from ..geometry import (
     LedPanel,
     Pose,
     Vec3,
+    attitude_matrices,
     batch_project_points,
     canonical_order,
     in_fov,
     matrix_to_attitude,
+    on_sensor,
     project_panel_corners,
     rotation_about_axis,
 )
@@ -39,6 +41,8 @@ __all__ = ["GridSpec", "SweepSpec", "CaptureSpec", "Dataset",
 
 CLEAN_TAG = "clean-sim"
 NOISY_TAG = "noisy-sim"
+# Attitude draws allowed per requested row before a location gives up.
+MAX_ATTEMPTS_FACTOR = 400
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,6 @@ class SweepSpec:
     heights_m: tuple[float, ...]
     angle_step_deg: int = 45
     grid: GridSpec = field(default_factory=GridSpec)
-    seed: int = 0
 
     def __post_init__(self):
         if not self.heights_m or any(h <= 0 for h in self.heights_m):
@@ -204,8 +207,8 @@ class Dataset:
     def from_csv(path) -> "Dataset":
         tag = CLEAN_TAG
         rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -215,39 +218,21 @@ class Dataset:
                     continue
                 if line.startswith("x,"):
                     continue
-                rows.append([float(c) for c in line.split(",")])
+                try:
+                    rows.append([float(c) for c in line.split(",")])
+                except ValueError as exc:
+                    raise MalformedCsv(f"{path}:{lineno}: {exc}") from None
+                if len(rows[-1]) != 17:
+                    raise MalformedCsv(f"{path}:{lineno}: expected 17 columns")
         if not rows:
-            raise ValueError(f"no data rows in {path}")
+            raise MalformedCsv(f"no data rows in {path}")
         arr = np.asarray(rows, dtype=np.float64)
-        if arr.shape[1] != 17:
-            raise ValueError("expected 17 columns")
+        if not np.isfinite(arr).all():
+            raise MalformedCsv(f"{path}: non-finite entries")
         n = arr.shape[0]
         return Dataset(arr[:, 9:17], arr[:, 0:3], arr[:, 6].astype(np.int64),
                        arr[:, 7].astype(np.int64), arr[:, 8], arr[:, 3:6],
                        np.full(n, tag))
-
-
-def _attitude_matrices(angles_deg: np.ndarray) -> np.ndarray:
-    """Camera rotation matrices for an (M, 3) array of roll/pitch/yaw."""
-    r = np.radians(angles_deg)
-    cr, sr = np.cos(r[:, 0]), np.sin(r[:, 0])
-    cp, sp = np.cos(r[:, 1]), np.sin(r[:, 1])
-    cy, sy = np.cos(r[:, 2]), np.sin(r[:, 2])
-    m = angles_deg.shape[0]
-    rx = np.zeros((m, 3, 3))
-    rx[:, 0, 0] = 1
-    rx[:, 1, 1], rx[:, 1, 2] = cr, -sr
-    rx[:, 2, 1], rx[:, 2, 2] = sr, cr
-    ry = np.zeros((m, 3, 3))
-    ry[:, 1, 1] = 1
-    ry[:, 0, 0], ry[:, 0, 2] = cp, sp
-    ry[:, 2, 0], ry[:, 2, 2] = -sp, cp
-    rz = np.zeros((m, 3, 3))
-    rz[:, 2, 2] = 1
-    rz[:, 0, 0], rz[:, 0, 1] = cy, -sy
-    rz[:, 1, 0], rz[:, 1, 1] = sy, cy
-    att = np.einsum("mij,mjk,mkl->mil", rz, ry, rx)
-    return att @ BASE_ALIGNMENT
 
 
 def generate_sweep(spec: SweepSpec, intr: CameraIntrinsics | None = None,
@@ -265,7 +250,7 @@ def generate_sweep(spec: SweepSpec, intr: CameraIntrinsics | None = None,
     n_side = spec.grid.side_count
     angles = np.arange(0, 360, spec.angle_step_deg, dtype=np.float64)
     att_list = np.array(list(itertools.product(angles, angles, angles)))
-    rotations = _attitude_matrices(att_list)
+    rotations = attitude_matrices(att_list) @ BASE_ALIGNMENT
     n_att = att_list.shape[0]
     corners = panel.corners_lcs()
 
@@ -279,11 +264,7 @@ def generate_sweep(spec: SweepSpec, intr: CameraIntrinsics | None = None,
              np.full((n_grid * n_att, 1), float(h))], axis=1)
         rot_all = np.tile(rotations, (n_grid, 1, 1))
         uv, valid = batch_project_points(intr, positions, rot_all, corners)
-        inside = (
-            (uv[..., 0] >= 0).all(axis=1) & (uv[..., 0] < intr.width_px).all(axis=1)
-            & (uv[..., 1] >= 0).all(axis=1) & (uv[..., 1] < intr.height_px).all(axis=1)
-        )
-        keep = np.flatnonzero(valid & inside)
+        keep = np.flatnonzero(valid & on_sensor(uv, intr))
         if keep.size == 0:
             continue
         uvk = uv[keep]
@@ -337,8 +318,7 @@ def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None
                          panel: LedPanel | None = None, *,
                          corner_jitter_px: float = 1.0,
                          pixel_sigma: float = 0.02,
-                         clean_reference: bool = False,
-                         max_attempts_factor: int = 400) -> Dataset:
+                         clean_reference: bool = False) -> Dataset:
     """Render per_location random retained poses per grid location and
     height, and extract features with the vision pipeline.
 
@@ -371,7 +351,7 @@ def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None
         position = Vec3(float(coords[i]), float(coords[j]), float(h))
         accepted = 0
         attempts = 0
-        budget = spec.per_location * max_attempts_factor
+        budget = spec.per_location * MAX_ATTEMPTS_FACTOR
         while accepted < spec.per_location and attempts < budget:
             attempts += 1
             att = _draw_attitude(rng_att, position, spec.yaw_limit_deg,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera
+from .errors import MalformedFrame
 from .geometry import (
     CameraIntrinsics,
     CornerSet,
@@ -139,7 +139,7 @@ def read_pgm(path) -> Frame:
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
+        raise MalformedFrame(f"{path}: not a binary PGM (P5) file")
     meta_kv = {}
     pos = 2
     fields = []
@@ -148,7 +148,7 @@ def read_pgm(path) -> Frame:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos >= len(data):
-            raise ValueError(f"{path}: truncated PGM header")
+            raise MalformedFrame(f"{path}: truncated PGM header")
         if data[pos : pos + 1] == b"#":
             end = data.find(b"\n", pos)
             end = len(data) if end < 0 else end
@@ -161,13 +161,15 @@ def read_pgm(path) -> Frame:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
+    if not all(f.isdigit() for f in fields):
+        raise MalformedFrame(f"{path}: non-numeric PGM header field")
     width, height, maxval = (int(f) for f in fields)
     if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+        raise MalformedFrame(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
-        raise ValueError(f"{path}: raster size mismatch")
+        raise MalformedFrame(f"{path}: raster size mismatch")
     meta = FrameMeta(
         exposure_us=meta_kv.get("exposure_us", 68.0),
         row_readout_us=meta_kv.get("row_readout_us", 2.5),
@@ -237,6 +239,32 @@ def _quad_row_spans(points: np.ndarray, width: int, height: int):
     return row_lo, row_hi, col_lo, col_hi
 
 
+def _fill_quad(shape: tuple[int, int], points: np.ndarray, fill: int) -> np.ndarray:
+    """A zero uint8 raster of shape (height, width) with the quad's covered
+    pixel centers set to fill."""
+    px = np.zeros(shape, dtype=np.uint8)
+    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(points, shape[1], shape[0])
+    for idx, r in enumerate(range(row_lo, row_hi)):
+        if col_hi[idx] >= col_lo[idx]:
+            px[r, col_lo[idx] : col_hi[idx] + 1] = fill
+    return px
+
+
+def _scale_rows(px: np.ndarray, points: np.ndarray, factors: np.ndarray) -> None:
+    """Multiply, in place, the rows of px that the quad covers by their
+    factors, rounding to the nearest level. Only the quad's rows and column
+    band are touched."""
+    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(points, px.shape[1], px.shape[0])
+    c0, c1 = col_lo.min(initial=px.shape[1]), col_hi.max(initial=-1)
+    # In bands of 128 rows: a float64 copy of the whole panel (about 5 MB)
+    # is a fresh mapping whose pages fault in on every call.
+    for r in range(row_lo, row_hi, 128):
+        rows = slice(r, min(r + 128, row_hi))
+        block = px[rows, c0 : c1 + 1].astype(np.float64)
+        block *= factors[rows, None]
+        px[rows, c0 : c1 + 1] = np.rint(block, out=block)
+
+
 def rasterize_panel(intr: CameraIntrinsics, pose: Pose, panel: LedPanel,
                     brightness: float) -> Frame:
     """Scanline-fill the projected panel quad at round(255 * brightness).
@@ -247,13 +275,7 @@ def rasterize_panel(intr: CameraIntrinsics, pose: Pose, panel: LedPanel,
     """
     quad = project_panel_corners(intr, pose, panel)
     fill = int(round(255.0 * brightness))
-    px = np.zeros((intr.height_px, intr.width_px), dtype=np.uint8)
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(
-        quad.points, intr.width_px, intr.height_px
-    )
-    for idx, r in enumerate(range(row_lo, row_hi)):
-        if col_hi[idx] >= col_lo[idx]:
-            px[r, col_lo[idx] : col_hi[idx] + 1] = fill
+    px = _fill_quad((intr.height_px, intr.width_px), quad.points, fill)
     px.flags.writeable = False
     meta = FrameMeta(intr.exposure_us, intr.row_readout_us, intr.iso_gain)
     return Frame(px, meta, quad=quad, fill=fill)
@@ -314,39 +336,9 @@ def apply_rolling_shutter(frame: Frame, quad: CornerSet, w: Waveform, *,
     starts = np.arange(frame.height_px, dtype=np.float64) * meta.row_readout_us + phase_us
     factors = row_exposure_fractions(w, starts, meta.exposure_us)
     px = frame.pixels.copy()
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(
-        quad.points, frame.width_px, frame.height_px
-    )
-    if row_hi > row_lo:
-        c0 = int(col_lo.min(initial=frame.width_px))
-        c1 = int(col_hi.max(initial=-1))
-        if c1 >= c0:
-            # In bands of 128 rows: a float64 copy of the whole panel (about
-            # 5 MB) is a fresh mapping whose pages fault in on every call.
-            for r in range(row_lo, row_hi, 128):
-                rows = slice(r, min(r + 128, row_hi))
-                block = px[rows, c0 : c1 + 1].astype(np.float64)
-                block *= factors[rows, None]
-                px[rows, c0 : c1 + 1] = np.rint(block, out=block)
+    _scale_rows(px, quad.points, factors)
     px.flags.writeable = False
     return Frame(px, meta, quad=frame.quad, fill=frame.fill, row_factors=factors)
-
-
-def _refill_from_provenance(frame: Frame, quad_points: np.ndarray) -> np.ndarray:
-    """Re-rasterize a frame's quad at new corner positions, reapplying the
-    stored shutter factors if any."""
-    px = np.zeros_like(frame.pixels)
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(
-        quad_points, frame.width_px, frame.height_px
-    )
-    for idx, r in enumerate(range(row_lo, row_hi)):
-        if col_hi[idx] >= col_lo[idx]:
-            px[r, col_lo[idx] : col_hi[idx] + 1] = frame.fill
-    if frame.row_factors is not None and row_hi > row_lo:
-        block = px[row_lo:row_hi].astype(np.float64)
-        block *= frame.row_factors[row_lo:row_hi, None]
-        px[row_lo:row_hi] = np.rint(block).astype(np.uint8)
-    return px
 
 
 def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
@@ -370,7 +362,9 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
         if frame.quad is None or frame.fill is None:
             raise ValueError("corner jitter requires a frame with generation provenance")
         jittered = frame.quad.points + rng.normal(0.0, corner_jitter_px, size=(4, 2))
-        px = _refill_from_provenance(frame, jittered)
+        px = _fill_quad(frame.pixels.shape, jittered, frame.fill)
+        if frame.row_factors is not None:
+            _scale_rows(px, jittered, frame.row_factors)
         quad = CornerSet(jittered[canonical_order(jittered)])
     else:
         px = frame.pixels.copy()

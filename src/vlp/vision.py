@@ -36,9 +36,12 @@ __all__ = [
 ]
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+THRESHOLD = 128          # binarization level, gray
+WINDOW = 5               # structure-tensor window, px (odd)
+MIN_DISTANCE_PX = 20     # minimum spacing between corner candidates
 
 
-def binarize(frame: Frame, threshold: int = 128) -> np.ndarray:
+def binarize(frame: Frame, threshold: int = THRESHOLD) -> np.ndarray:
     """Boolean mask of pixels >= threshold."""
     if not (0 <= threshold <= 255):
         raise ValueError(f"threshold must be in 0..255, got {threshold}")
@@ -175,8 +178,8 @@ def _refine_corner(gx: np.ndarray, gy: np.ndarray, r: int, c: int,
     return pr, pc
 
 
-def detect_corners(mask: np.ndarray, count: int = 4, window: int = 5,
-                   min_distance_px: int = 20) -> np.ndarray:
+def detect_corners(mask: np.ndarray, count: int = 4, window: int = WINDOW,
+                   min_distance_px: int = MIN_DISTANCE_PX) -> np.ndarray:
     """Top `count` corner points of a blob mask, unordered, sub-pixel.
 
     Minimum-eigenvalue corner scores over the structure tensor pick the
@@ -259,8 +262,7 @@ def _check_quad(corners: CornerSet, component: np.ndarray) -> None:
         )
 
 
-def extract_corners(frame: Frame, *, threshold: int = 128, merge_radius: int = 0,
-                    window: int = 5, min_distance_px: int = 20) -> CornerSet:
+def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
     """Full pipeline from a frame to the ordered panel corner set.
 
     merge_radius closes stripe gaps first (use stripe_merge_radius when the
@@ -271,14 +273,14 @@ def extract_corners(frame: Frame, *, threshold: int = 128, merge_radius: int = 0
     found; SaturatedFrame when the blob spans the sensor's full height or
     width, whose outline is then the frame's edge.
     """
-    mask = binarize(frame, threshold)
+    mask = binarize(frame)
     # A pad of r + 1 keeps the closing exact on the crop: dilation reads only
     # set pixels, all inside, and an erosion window that reaches past a crop
     # edge also covers the crop's outermost line, more than r from every set
     # pixel and so False after dilation. Closing grows nothing past the box
     # except toward a sensor edge, where crop and frame share the edge, so a
-    # pad of window + 4 holds detect_corners' whole region too.
-    box = _padded_bbox(mask, max(merge_radius + 1, window + 4))
+    # pad of WINDOW + 4 holds detect_corners' whole region too.
+    box = _padded_bbox(mask, max(merge_radius + 1, WINDOW + 4))
     crop = mask[box]
     if merge_radius > 0:
         crop = close_mask(crop, merge_radius)
@@ -291,7 +293,7 @@ def extract_corners(frame: Frame, *, threshold: int = 128, merge_radius: int = 0
         raise SaturatedFrame(f"blob spans the full height or width of the "
                              f"{w}x{h} sensor")
     pts = _detect_corners(component, (box[0].start, box[1].start), 4,
-                          window, min_distance_px)
+                          WINDOW, MIN_DISTANCE_PX)
     corners = order_corners(pts)
     _check_quad(corners, component)
     return corners

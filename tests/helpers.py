@@ -265,3 +265,25 @@ def distance_to_quad_edges(pts: np.ndarray, quad: np.ndarray) -> np.ndarray:
         proj = a + t[:, None] * ab
         d = np.minimum(d, np.hypot(*(pts - proj).T))
     return d
+
+
+def reference_refill(frame, quad_points: np.ndarray) -> np.ndarray:
+    """Re-rasterize a frame's quad at new corner positions, reapplying its
+    stored shutter factors if any: one fill loop over the quad's row spans,
+    then one full-height float scale of the covered rows. This is the
+    jitter step of vlp.render.add_capture_noise written out in one piece,
+    so the jittered frames must equal it pixel for pixel."""
+    from vlp.render import _quad_row_spans
+
+    px = np.zeros_like(frame.pixels)
+    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(
+        quad_points, frame.width_px, frame.height_px
+    )
+    for idx, r in enumerate(range(row_lo, row_hi)):
+        if col_hi[idx] >= col_lo[idx]:
+            px[r, col_lo[idx] : col_hi[idx] + 1] = frame.fill
+    if frame.row_factors is not None and row_hi > row_lo:
+        block = px[row_lo:row_hi].astype(np.float64)
+        block *= frame.row_factors[row_lo:row_hi, None]
+        px[row_lo:row_hi] = np.rint(block).astype(np.uint8)
+    return px

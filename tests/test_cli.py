@@ -138,6 +138,28 @@ def test_vlp_errors_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
+    # malformed input files
+    bad_pgm = tmp_path / "bad.pgm"
+    bad_pgm.write_bytes(b"P5\n2 2\n255\n\x00")
+    assert main(["extract", "--frame", str(bad_pgm)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "raster size mismatch" in err
+
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("1.0,2.0,3.0\n")
+    assert main(["train", "--data", str(bad_csv), "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expected 17 columns" in err
+
+    pgm = tmp_path / "striped.pgm"
+    assert main(["codec", "encode", "--id", "0xB6", "--pgm", str(pgm)]) == 0
+    capsys.readouterr()
+    bad_db = tmp_path / "leds.csv"
+    bad_db.write_text("id,x,y,z\n0xZZ,0.0,0.0,2.56\n")
+    assert main(["codec", "decode", "--frame", str(pgm), "--db", str(bad_db)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "invalid literal" in err
+
 
 @pytest.mark.parametrize("text", [
     '{"format":"vlp-model/1","kind":"bogus","axes":{}}',

@@ -25,7 +25,8 @@ from vlp.codec import (
     rotations,
     stripe_merge_radius,
 )
-from vlp.errors import AmbiguousMatch, EmptyQuad, NoMatch, NoTransitions, ProfileTooShort
+from vlp.errors import (AmbiguousMatch, EmptyQuad, MalformedCsv, NoMatch, NoTransitions,
+                        ProfileTooShort)
 from vlp.geometry import Vec3
 from vlp.render import _quad_row_spans, apply_rolling_shutter, base_brightness, rasterize_panel
 
@@ -235,7 +236,21 @@ def test_database_csv_round_trip(tmp_path):
 def test_database_csv_rejects_short_rows(tmp_path):
     p = tmp_path / "leds.csv"
     p.write_text("id,x,y,z\n0xB6,3.0,4.0\n")
-    with pytest.raises(ValueError, match="expected id"):
+    with pytest.raises(MalformedCsv, match="expected id"):
+        LedDatabase.from_csv(p)
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"id,x,y,z\n0xZZ,3.0,4.0,2.56\n", ":2: invalid literal"),
+    (b"id,x,y,z\n0xB6,3.0,north,2.56\n", ":2: .*north"),
+    (b"id,x,y,z\n300,3.0,4.0,2.56\n", ":2: "),
+    (b"id,x,y,z\n\xff\xfe,3.0,4.0,2.56\n", ":2: invalid literal"),
+    (b"id,x,y,z\n", "no records"),
+])
+def test_database_csv_rejects_bad_cells(tmp_path, data, match):
+    p = tmp_path / "leds.csv"
+    p.write_bytes(data)
+    with pytest.raises(MalformedCsv, match=match):
         LedDatabase.from_csv(p)
 
 

@@ -22,6 +22,7 @@ from vlp.geometry import (
     LedPanel,
     Pose,
     Vec3,
+    attitude_matrices,
     attitude_to_matrix,
     backproject_to_panel_plane,
     batch_project_points,
@@ -29,6 +30,7 @@ from vlp.geometry import (
     canonical_order,
     in_fov,
     matrix_to_attitude,
+    on_sensor,
     order_corners,
     project_panel_corners,
     project_point,
@@ -101,6 +103,17 @@ def test_attitude_matrices_are_rotations():
         r = attitude_to_matrix(att)
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_batched_attitudes_equal_single_poses():
+    """A batch row rounds exactly like the same attitude built alone."""
+    g = rng(13)
+    angles = np.vstack([g.uniform(0.0, 360.0, size=(500, 3)),
+                        list(itertools.product(range(0, 360, 30), repeat=3))])
+    batch = attitude_matrices(angles)
+    assert batch.shape == (angles.shape[0], 3, 3)
+    single = np.array([attitude_to_matrix(Attitude(*a)) for a in angles])
+    np.testing.assert_array_equal(batch, single)
 
 
 def test_yaw_only_matches_plane_rotation():
@@ -214,6 +227,15 @@ def test_in_fov_bounds_are_half_open(intr):
     negative = inside.copy()
     negative[0] = [-0.001, 0.0]
     assert not in_fov(CornerSet(negative[canonical_order(negative)]), intr)
+
+
+def test_on_sensor_is_in_fov_per_quad(intr):
+    g = rng(17)
+    quads = g.uniform(-200.0, 2500.0, size=(3, 200, 4, 2))
+    got = on_sensor(quads, intr)
+    assert got.shape == (3, 200) and got.any() and not got.all()
+    want = [[in_fov(CornerSet(q), intr) for q in batch] for batch in quads]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_backprojection_inverts_projection_on_panel_plane(intr):

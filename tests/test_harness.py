@@ -10,7 +10,8 @@ import pytest
 
 from conftest import rng
 from vlp.config import build_study_config, parse_config_file
-from vlp.errors import BehindCamera, ConfigError, EmptyTestSet, InsufficientRows
+from vlp.errors import (BehindCamera, ConfigError, EmptyTestSet, InsufficientRows,
+                        MalformedCsv)
 from vlp.geometry import (
     Attitude,
     CameraIntrinsics,
@@ -71,16 +72,21 @@ def test_capture_spec_validation():
         CaptureSpec((0.0,))
 
 
-def test_sweep_matches_naive_enumeration(intr, panel):
+@pytest.mark.parametrize("spec", [
+    SweepSpec((1.3,), angle_step_deg=90, grid=GridSpec(0.4, 0.2)),
+    # the 30 degree lattice has poses where a three-operand einsum rotation
+    # rounded differently from the per-pose product
+    SweepSpec((1.3,), angle_step_deg=30),
+], ids=["90deg-small-grid", "30deg-default-grid"])
+def test_sweep_matches_naive_enumeration(intr, panel, spec):
     """Every retained row of the batched sweep must also fall out of a
-    plain loop over poses with the scalar projector, and vice versa."""
-    grid = GridSpec(0.4, 0.2)
-    spec = SweepSpec((1.3,), angle_step_deg=90, grid=grid)
+    plain loop over poses with the scalar projector, and vice versa, with
+    bit-identical features."""
     ds = generate_sweep(spec, intr, panel)
 
     want = {}
-    angles = np.arange(0.0, 360.0, 90.0)
-    coords = grid.coordinates()
+    angles = np.arange(0.0, 360.0, spec.angle_step_deg)
+    coords = spec.grid.coordinates()
     for i, x in enumerate(coords):
         for j, y in enumerate(coords):
             for roll, pitch, yaw in itertools.product(angles, angles, angles):
@@ -102,7 +108,7 @@ def test_sweep_matches_naive_enumeration(intr, panel):
         assert key in want, key
         i, j, feats = want[key]
         assert (ds.grid_i[k], ds.grid_j[k]) == (i, j)
-        np.testing.assert_allclose(ds.features[k], feats, atol=1e-9)
+        np.testing.assert_array_equal(ds.features[k], feats)
         got_keys.add(key)
     assert got_keys == set(want)
     assert set(ds.source.tolist()) == {"clean-sim"}
@@ -151,10 +157,22 @@ def test_dataset_csv_round_trip(tmp_path, intr, panel):
 def test_dataset_from_csv_rejects_garbage(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,\n")
-    with pytest.raises(ValueError, match="no data rows"):
+    with pytest.raises(MalformedCsv, match="no data rows"):
         Dataset.from_csv(p)
     p.write_text("1.0,2.0,3.0\n")
-    with pytest.raises(ValueError, match="17 columns"):
+    with pytest.raises(MalformedCsv, match="17 columns"):
+        Dataset.from_csv(p)
+    p.write_text(",".join(["1.0"] * 17) + "\n" + ",".join(["1.0"] * 16) + "\n")
+    with pytest.raises(MalformedCsv, match=":2: expected 17 columns"):
+        Dataset.from_csv(p)
+    p.write_text(",".join(["1.0"] * 16 + ["abc"]) + "\n")
+    with pytest.raises(MalformedCsv, match="abc"):
+        Dataset.from_csv(p)
+    p.write_bytes(b"\xff\xfe" + b",1.0" * 16 + b"\n")
+    with pytest.raises(MalformedCsv, match=":1: "):
+        Dataset.from_csv(p)
+    p.write_text(",".join(["1.0"] * 16 + ["nan"]) + "\n")
+    with pytest.raises(MalformedCsv, match="non-finite"):
         Dataset.from_csv(p)
 
 

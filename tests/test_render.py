@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import nadir_pose, rng
-from helpers import distance_to_quad_edges, point_in_convex_quad
-from vlp.geometry import Attitude, CameraIntrinsics, Pose, Vec3
+from helpers import distance_to_quad_edges, point_in_convex_quad, reference_refill
+from vlp.codec import dm_encode
+from vlp.errors import MalformedFrame
+from vlp.geometry import Attitude, CameraIntrinsics, Pose, Vec3, canonical_order
 from vlp.render import (
     Frame,
     FrameMeta,
@@ -191,6 +193,26 @@ def test_corner_jitter_moves_quad_and_refills(intr, panel):
     assert noisy.fill == frame.fill
 
 
+def test_corner_jitter_matches_reference_refill(intr, panel):
+    """Jittered plain and striped frames equal the one-piece re-rasterization
+    of the jittered quad, pixel for pixel and quad for quad."""
+    g = rng(23)
+    for k in range(4):
+        pose = Pose(Vec3(*g.uniform(-0.5, 0.5, 2), float(g.uniform(1.2, 1.8))),
+                    Attitude(*g.normal(0.0, 2.0, 3)))
+        base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+        wave = dm_encode(int(g.integers(256)))
+        striped = apply_rolling_shutter(base, base.quad, wave,
+                                        phase_us=float(g.uniform(0.0, wave.period_us)))
+        for frame in (base, striped):
+            seed = 1000 + k
+            jittered = frame.quad.points + rng(seed).normal(0.0, 1.5, size=(4, 2))
+            noisy = add_capture_noise(frame, 1.5, 0.0, seed)
+            np.testing.assert_array_equal(noisy.pixels, reference_refill(frame, jittered))
+            np.testing.assert_array_equal(noisy.quad.points,
+                                          jittered[canonical_order(jittered)])
+
+
 def test_pixel_noise_pedestal_and_sigma(intr, panel):
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.3), panel, 1.0)
     noisy = add_capture_noise(frame, 0.0, 5.0, 7)
@@ -233,13 +255,19 @@ def test_pgm_round_trip(tmp_path, intr, panel):
 def test_read_pgm_rejects_garbage(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P2\n2 2\n255\n")
-    with pytest.raises(ValueError, match="P5"):
+    with pytest.raises(MalformedFrame, match="P5"):
         read_pgm(p)
     p.write_bytes(b"P5\n2 2\n255\n\x00")
-    with pytest.raises(ValueError, match="raster"):
+    with pytest.raises(MalformedFrame, match="raster"):
         read_pgm(p)
     p.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
-    with pytest.raises(ValueError, match="maxval"):
+    with pytest.raises(MalformedFrame, match="maxval"):
+        read_pgm(p)
+    p.write_bytes(b"P5\n2 x\n255\n" + b"\x00" * 4)
+    with pytest.raises(MalformedFrame, match="non-numeric"):
+        read_pgm(p)
+    p.write_bytes(b"P5\n2")
+    with pytest.raises(MalformedFrame, match="truncated"):
         read_pgm(p)
 
 
