@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except VlpError as exc:
+    except (VlpError, OSError) as exc:  # OSError: a missing or unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,16 +85,6 @@ def dm_encode(led_id: int, bit_rate_hz: float = DEFAULT_BIT_RATE_HZ) -> Waveform
     )
 
 
-def fundamental_levels(w: Waveform) -> tuple:
-    """The waveform's true period as a level list: the emitted levels when
-    the seam keeps the boundary-transition rule, else levels plus their
-    inversion (repetitions alternate polarity)."""
-    lv = w.levels
-    if lv[0] != lv[-1]:
-        return lv
-    return lv + tuple(1 - x for x in lv)
-
-
 @dataclass(frozen=True)
 class RowProfile:
     """Per-row mean brightness inside the panel quad, normalized to [0, 1].

@@ -75,11 +75,6 @@ class Waveform:
         return sum(self.levels) / len(self.levels)
 
 
-def constant_on(duration_us: float = 50.0) -> Waveform:
-    """An unmodulated always-on waveform."""
-    return Waveform(levels=(1,), level_duration_us=duration_us, repeating=True)
-
-
 class Frame:
     """A grayscale capture: (height, width) uint8 pixels plus capture meta.
 
@@ -375,15 +370,3 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
         px = np.clip(np.rint(buf), 0.0, 255.0).astype(np.uint8)
     return Frame(px, frame.meta, quad=quad, fill=frame.fill,
                  row_factors=frame.row_factors)
-
-
-def render_frame(intr: CameraIntrinsics, pose: Pose, panel: LedPanel,
-                 waveform: Waveform | None = None, *, phase_us: float | None = None,
-                 rng=None) -> Frame:
-    """Compose brightness, rasterization and (optionally) shutter stripes."""
-    b = base_brightness(pose, panel, intr)
-    frame = rasterize_panel(intr, pose, panel, b)
-    if waveform is not None:
-        frame = apply_rolling_shutter(frame, frame.quad, waveform,
-                                      phase_us=phase_us, rng=rng)
-    return frame

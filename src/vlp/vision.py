@@ -1,18 +1,18 @@
 """Frame-to-features pipeline: threshold, morphology, connected components,
-minimum-eigenvalue corner detection, and the canonical corner ordering that
-turns four pixel points into the 8-float feature vector.
+an edge-line corner fit, and the canonical corner ordering that turns four
+pixel points into the 8-float feature vector.
 
 Masks are plain boolean arrays. The public stages take and return masks of
 any shape; extract_corners binarizes the whole frame once and runs the rest
-on one crop around the set pixels (see _padded_bbox), adding the crop's
-origin back only in the final corner sum. Corner coordinates use the same
-continuous pixel convention as the projector: pixel (r, c) covers the unit
-square centered at (c + 0.5, r + 0.5).
+on one crop around the set pixels (see _padded_bbox). The corner fit works
+on the blob's boundary points, which move to frame coordinates while still
+integer indices, so the crop gives the full frame's corners bit for bit.
+Corner coordinates use the same continuous pixel convention as the
+projector: pixel (r, c) covers the unit square centered at (c + 0.5,
+r + 0.5).
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from scipy import ndimage, spatial
@@ -37,8 +37,9 @@ __all__ = [
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 THRESHOLD = 128          # binarization level, gray
-WINDOW = 5               # structure-tensor window, px (odd)
-MIN_DISTANCE_PX = 20     # minimum spacing between corner candidates
+EDGE_TRIM_PX = 6.0       # side fits leave out boundary points this near a corner
+SEED_PX = 1.0            # a hull edge's support: side points this near it
+OUTLIER_PX = 2.0         # a side's fit keeps points this near its seed edge
 
 
 def binarize(frame: Frame, threshold: int = THRESHOLD) -> np.ndarray:
@@ -106,131 +107,115 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _min_eigenvalue_scores(gx: np.ndarray, gy: np.ndarray, window: int) -> np.ndarray:
-    """Smaller structure-tensor eigenvalue per pixel (corner strength)."""
-    w = window
-    ixx = ndimage.uniform_filter(gx * gx, size=w, mode="constant")
-    ixy = ndimage.uniform_filter(gx * gy, size=w, mode="constant")
-    iyy = ndimage.uniform_filter(gy * gy, size=w, mode="constant")
-    half_tr = (ixx + iyy) / 2.0
-    return half_tr - np.sqrt(((ixx - iyy) / 2.0) ** 2 + ixy * ixy)
+def _boundary_points(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
+    """(n, 2) frame (u, v) of the midpoints between set and unset
+    4-neighbours of a mask whose top-left pixel sits at origin (row, col).
 
-
-def _widest_subset(rows: np.ndarray, cols: np.ndarray, count: int) -> list[int]:
-    """Indices of the `count` candidate peaks enclosing the largest area.
-
-    Stripe-merged masks sprout strong spurious corners where bright bars
-    step along a slanted edge; the true panel corners are the extremes, so
-    keep the subset spanning the widest convex polygon instead of trusting
-    score order alone.
+    The mask is zero-padded by one pixel, so the outside, and past a sensor
+    edge the sensor's outside, counts as unset. Indices move to the frame
+    while still integers; the 0.5 steps are then exact, so a crop yields the
+    full frame's points, in the same row-major order, bit for bit.
     """
-    n = len(rows)
-    if n == count:
-        return list(range(count))
-    pts = np.column_stack([cols, rows])
-    try:
-        hull = spatial.ConvexHull(pts)
-        hull_idx = np.asarray(hull.vertices)
-    except (spatial.QhullError, ValueError):
-        return list(range(count))
-    if len(hull_idx) < count:
-        return list(range(count))
-    combos = np.array(list(itertools.combinations(range(len(hull_idx)), count)))
-    hx, hy = pts[hull_idx, 0], pts[hull_idx, 1]
-    x, y = hx[combos], hy[combos]
-    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    areas = np.abs((x * yn - xn * y).sum(axis=1))
-    best = combos[int(areas.argmax())]
-    return [int(hull_idx[j]) for j in best]
+    m = np.pad(mask, 1)
+    r0, c0 = origin[0] - 1, origin[1] - 1  # frame index of padded (0, 0)
+    r, c = np.nonzero(m[:, 1:] != m[:, :-1])  # (r, c) | (r, c + 1)
+    across = np.column_stack([c + (c0 + 1), r + r0 + 0.5])
+    r, c = np.nonzero(m[1:, :] != m[:-1, :])  # (r, c) over (r + 1, c)
+    down = np.column_stack([c + c0 + 0.5, r + (r0 + 1)])
+    return np.concatenate([across, down])
 
 
-def _refine_corner(gx: np.ndarray, gy: np.ndarray, r: int, c: int,
-                   half: int, iters: int = 10) -> tuple[float, float]:
-    """Sub-pixel corner as the least-squares intersection of the edge lines
-    through each window pixel (normal = that pixel's gradient). Re-centers
-    the window on the running estimate until it stops moving."""
-    h, w = gx.shape
-    pr, pc = float(r), float(c)
-    for _ in range(iters):
-        rc, cc = int(round(pr)), int(round(pc))
-        rs = slice(max(0, rc - half), min(h, rc + half + 1))
-        cs = slice(max(0, cc - half), min(w, cc + half + 1))
-        px = gx[rs, cs].astype(np.float64)
-        py = gy[rs, cs].astype(np.float64)
-        yy, xx = np.mgrid[rs, cs]
-        a = float((px * px).sum())
-        b = float((px * py).sum())
-        d = float((py * py).sum())
-        det = a * d - b * b
-        if det < 1e-12:
-            break
-        bx = float((px * px * xx + px * py * yy).sum())
-        by = float((px * py * xx + py * py * yy).sum())
-        nc = (d * bx - b * by) / det
-        nr = (a * by - b * bx) / det
-        # diverging estimate: fall back to the integer peak
-        if abs(nr - r) > 2 * half or abs(nc - c) > 2 * half:
-            return float(r), float(c)
-        moved = abs(nr - pr) + abs(nc - pc)
-        pr, pc = nr, nc
-        if moved < 1e-4:
-            break
-    return pr, pc
+def _widest_subset(pts: np.ndarray) -> list[int]:
+    """Sorted indices of the four hull vertices (pts, in hull order) that
+    span the largest quad: over every diagonal (i, j), the best apex on
+    each side is the vertex farthest from it."""
+    best, picks = -1.0, None
+    for i in range(len(pts)):
+        d = pts - pts[i]
+        # cross[j, k]: twice the signed area of triangle (i, j, k)
+        cross = d[:, None, 0] * d[None, :, 1] - d[:, None, 1] * d[None, :, 0]
+        span = cross.max(axis=1) - cross.min(axis=1)
+        j = int(span.argmax())
+        if span[j] > best:
+            best = float(span[j])
+            picks = [i, j, int(cross[j].argmax()), int(cross[j].argmin())]
+    return sorted(picks)
 
 
-def detect_corners(mask: np.ndarray, count: int = 4, window: int = WINDOW,
-                   min_distance_px: int = MIN_DISTANCE_PX) -> np.ndarray:
-    """Top `count` corner points of a blob mask, unordered, sub-pixel.
+def _fit_line(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Total-least-squares line through pts as (unit normal n, offset c)
+    with n . x = c."""
+    if len(pts) < 2:
+        raise TooFewCorners(f"{len(pts)} boundary points on a quad side, need 2")
+    mean = pts.mean(axis=0)
+    du, dv = (pts - mean).T
+    # plain sums, not BLAS dot products, so no thread count moves a bit
+    theta = 0.5 * np.arctan2(2.0 * (du * dv).sum(), (du * du).sum() - (dv * dv).sum())
+    n = np.array([-np.sin(theta), np.cos(theta)])  # theta: direction of most spread
+    return n, float(n[0] * mean[0] + n[1] * mean[1])
 
-    Minimum-eigenvalue corner scores over the structure tensor pick the
-    integer peaks (greedy non-maximum suppression at min_distance), then an
-    edge-line intersection solve over each winner's neighborhood refines to
-    sub-pixel. Returns a (count, 2) array of (u, v).
-    """
-    return _detect_corners(mask, (0, 0), count, window, min_distance_px)
+
+def _fit_sides(pts: np.ndarray, hull: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """Corners fitted to the boundary points pts. Each point joins its
+    nearest side of the rough quad, except within EDGE_TRIM_PX of a corner.
+    A side's line starts as the hull edge within SEED_PX of most of its
+    points, then is refitted to its points within OUTLIER_PX of that edge:
+    stripe merging cuts rows off a panel's top and bottom and notches its
+    slanted sides, always inward, so the hull edge lies on the panel's edge.
+    Adjacent lines intersect in the corners."""
+    ends = np.roll(quad, -1, axis=0) - quad
+    length = np.hypot(ends[:, 0], ends[:, 1])
+    if not (length > 2 * EDGE_TRIM_PX).all():
+        raise TooFewCorners(f"quad side of {length.min():.1f} px is too short to fit")
+    unit = ends / length[:, None]
+    rel = pts[None, :, :] - quad[:, None, :]                    # (4, n, 2)
+    along = rel[..., 0] * unit[:, None, 0] + rel[..., 1] * unit[:, None, 1]
+    off = np.abs(rel[..., 1] * unit[:, None, 0] - rel[..., 0] * unit[:, None, 1])
+    off[(along < 0) | (along > length[:, None])] = np.inf
+    side = off.argmin(axis=0)
+    step = np.roll(hull, -1, axis=0) - hull
+    normal = np.column_stack([-step[:, 1], step[:, 0]])
+    normal /= np.hypot(step[:, 0], step[:, 1])[:, None]
+    offset = normal[:, 0] * hull[:, 0] + normal[:, 1] * hull[:, 1]
+    lines = []
+    for k in range(4):
+        mine = pts[(side == k) & (along[k] >= EDGE_TRIM_PX)
+                   & (along[k] <= length[k] - EDGE_TRIM_PX)]
+        dist = np.abs(mine[:, None, 0] * normal[:, 0] + mine[:, None, 1] * normal[:, 1]
+                      - offset)                                 # (points, hull edges)
+        seed = int((dist <= SEED_PX).sum(axis=0).argmax())
+        lines.append(_fit_line(mine[dist[:, seed] <= OUTLIER_PX]))
+    n, c = (np.array(x) for x in zip(*lines))
+    n0, c0 = np.roll(n, 1, axis=0), np.roll(c, 1)  # side k - 1 meets side k
+    det = n0[:, 0] * n[:, 1] - n0[:, 1] * n[:, 0]
+    if not (np.abs(det) >= 1e-9).all():
+        raise TooFewCorners("adjacent quad sides are parallel")
+    return np.column_stack([c0 * n[:, 1] - c * n0[:, 1],
+                            n0[:, 0] * c - n[:, 0] * c0]) / det[:, None]
 
 
-def _detect_corners(mask: np.ndarray, origin: tuple[int, int], count: int,
-                    window: int, min_distance_px: int) -> np.ndarray:
+def detect_corners(mask: np.ndarray) -> np.ndarray:
+    """The four corners of a quad-shaped blob, unordered, as a (4, 2) array
+    of sub-pixel (u, v): the widest quad on the hull of the blob's boundary
+    sorts it into four sides, and adjacent fitted side lines intersect in
+    the corners (the quad fit of fiducial detectors: Olson, ICRA 2011).
+    Raises TooFewCorners for blobs too small or thin for four sides."""
+    return _detect_corners(mask, (0, 0))
+
+
+def _detect_corners(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
     """detect_corners on a crop whose top-left pixel sits at origin (row,
-    col) in the frame. The origin joins the region offset before the
-    sub-pixel estimate is added, so corners come out bit for bit as on the
-    full mask."""
-    if window < 3 or window % 2 == 0:
-        raise ValueError("window must be an odd size >= 3")
-    rs, cs = _padded_bbox(mask, window + 4)
-    r0, c0 = rs.start, cs.start
-    region = mask[rs, cs].astype(np.float32)
-    smooth = ndimage.gaussian_filter(region, sigma=1.0, mode="constant")
-    gy, gx = np.gradient(smooth)
-    score = _min_eigenvalue_scores(gx, gy, window)
-
-    floor = float(score.max()) * 0.05
-    if not (floor > 0):
-        raise TooFewCorners("mask has no corner response")
-    flat = np.flatnonzero(score.ravel() > floor)
-    order = np.argsort(score.ravel()[flat])[::-1]
-    rows, cols = np.unravel_index(flat[order], score.shape)
-    keep_r, keep_c = [], []
-    min_d2 = float(min_distance_px) ** 2
-    for r, c in zip(rows, cols):
-        if any((r - kr) ** 2 + (c - kc) ** 2 < min_d2 for kr, kc in zip(keep_r, keep_c)):
-            continue
-        keep_r.append(int(r))
-        keep_c.append(int(c))
-        if len(keep_r) == 48:
-            break
-    if len(keep_r) < count:
-        raise TooFewCorners(f"found {len(keep_r)} corners, need {count}")
-    picks = _widest_subset(np.array(keep_r, float), np.array(keep_c, float), count)
-
-    half = window // 2 + 2
-    out = np.empty((count, 2), dtype=np.float64)
-    for i in range(count):
-        r, c = keep_r[picks[i]], keep_c[picks[i]]
-        rr, cc = _refine_corner(gx, gy, r, c, half)
-        out[i] = (cc + (c0 + origin[1]) + 0.5, rr + (r0 + origin[0]) + 0.5)
-    return out
+    col) in the frame. The fit sees only frame coordinates, so corners come
+    out bit for bit as on the full mask."""
+    rs, cs = _padded_bbox(mask, 0)
+    pts = _boundary_points(mask[rs, cs], (rs.start + origin[0], cs.start + origin[1]))
+    try:
+        hull = pts[spatial.ConvexHull(pts).vertices]
+    except spatial.QhullError:
+        raise TooFewCorners("blob boundary is collinear") from None
+    if len(hull) < 4:
+        raise TooFewCorners(f"blob hull has {len(hull)} vertices, need 4")
+    return _fit_sides(pts, hull, hull[_widest_subset(hull)])
 
 
 def features(corners: CornerSet) -> np.ndarray:
@@ -240,7 +225,10 @@ def features(corners: CornerSet) -> np.ndarray:
 
 def _check_quad(corners: CornerSet, component: np.ndarray) -> None:
     """Reject non-quad blobs: the ordered corners must form a convex
-    quadrilateral covering at least 80% of the component's pixel count."""
+    quadrilateral covering at least 80% and at most 110% of the component's
+    pixel count. Lines fitted around a curved outline enclose 22-26% more
+    than its pixels on discs of radius 15-200 px; a panel's lines enclose
+    at most the few percent that stripe merging notches and cuts off it."""
     pts = corners.points
     area2 = 0.0
     for i in range(4):
@@ -260,6 +248,11 @@ def _check_quad(corners: CornerSet, component: np.ndarray) -> None:
             f"quad area {area:.0f} px^2 covers under 80% of the blob "
             f"({count} px); not a quadrilateral light"
         )
+    if area > 1.1 * count:
+        raise VisionFailure(
+            f"quad area {area:.0f} px^2 exceeds the blob ({count} px) by over "
+            f"10%; a curved outline, not a quadrilateral light"
+        )
 
 
 def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
@@ -278,9 +271,8 @@ def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
     # set pixels, all inside, and an erosion window that reaches past a crop
     # edge also covers the crop's outermost line, more than r from every set
     # pixel and so False after dilation. Closing grows nothing past the box
-    # except toward a sensor edge, where crop and frame share the edge, so a
-    # pad of WINDOW + 4 holds detect_corners' whole region too.
-    box = _padded_bbox(mask, max(merge_radius + 1, WINDOW + 4))
+    # except toward a sensor edge, where crop and frame share the edge.
+    box = _padded_bbox(mask, merge_radius + 1)
     crop = mask[box]
     if merge_radius > 0:
         crop = close_mask(crop, merge_radius)
@@ -292,9 +284,7 @@ def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
                 and component[:, -1].any())):
         raise SaturatedFrame(f"blob spans the full height or width of the "
                              f"{w}x{h} sensor")
-    pts = _detect_corners(component, (box[0].start, box[1].start), 4,
-                          WINDOW, MIN_DISTANCE_PX)
-    corners = order_corners(pts)
+    corners = order_corners(_detect_corners(component, (box[0].start, box[1].start)))
     _check_quad(corners, component)
     return corners
 

@@ -88,87 +88,6 @@ def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, min_leaf: in
     return Tree(*zip(*nodes))
 
 
-def reference_extract_corners(frame, *, threshold: int = 128, merge_radius: int = 0,
-                              window: int = 5, min_distance_px: int = 20):
-    """vlp.vision.extract_corners as a full-frame pipeline: every stage, the
-    closing, the component labelling and the corner detector's region
-    search, runs on the whole sensor mask, and the detector adds the region
-    offset to the sub-pixel estimate in one sum. extract_corners crops to
-    the blob first, so its corners must equal these bit for bit."""
-    from scipy import ndimage
-
-    from vlp.errors import EmptyMask, TooFewCorners
-    from vlp.geometry import order_corners
-    from vlp.vision import (
-        _check_quad,
-        _min_eigenvalue_scores,
-        _refine_corner,
-        _widest_subset,
-        binarize,
-        close_mask,
-    )
-
-    mask = binarize(frame, threshold)
-    if merge_radius > 0:
-        mask = close_mask(mask, merge_radius)
-
-    row_any = mask.any(axis=1)
-    if not row_any.any():
-        raise EmptyMask("no set pixels")
-    col_any = mask.any(axis=0)
-    r0, r1 = np.flatnonzero(row_any)[[0, -1]]
-    c0, c1 = np.flatnonzero(col_any)[[0, -1]]
-    labels, _ = ndimage.label(mask[r0 : r1 + 1, c0 : c1 + 1],
-                              structure=np.ones((3, 3), dtype=bool))
-    counts = np.bincount(labels.ravel())
-    counts[0] = 0
-    tied = np.flatnonzero(counts == int(counts.max()))
-    if len(tied) > 1:
-        flat = labels.ravel()
-        tied = sorted(tied, key=lambda lab: int(np.flatnonzero(flat == lab)[0]))
-    component = np.zeros(mask.shape, dtype=bool)
-    component[r0 : r1 + 1, c0 : c1 + 1] = labels == tied[0]
-
-    if window < 3 or window % 2 == 0:
-        raise ValueError("window must be an odd size >= 3")
-    ys, xs = np.nonzero(component)
-    pad = window + 4
-    r0, r1 = max(0, ys.min() - pad), min(component.shape[0], ys.max() + pad + 1)
-    c0, c1 = max(0, xs.min() - pad), min(component.shape[1], xs.max() + pad + 1)
-    region = component[r0:r1, c0:c1].astype(np.float32)
-    smooth = ndimage.gaussian_filter(region, sigma=1.0, mode="constant")
-    gy, gx = np.gradient(smooth)
-    score = _min_eigenvalue_scores(gx, gy, window)
-    floor = float(score.max()) * 0.05
-    if not (floor > 0):
-        raise TooFewCorners("mask has no corner response")
-    flat = np.flatnonzero(score.ravel() > floor)
-    order = np.argsort(score.ravel()[flat])[::-1]
-    rows, cols = np.unravel_index(flat[order], score.shape)
-    keep_r, keep_c = [], []
-    min_d2 = float(min_distance_px) ** 2
-    for r, c in zip(rows, cols):
-        if any((r - kr) ** 2 + (c - kc) ** 2 < min_d2 for kr, kc in zip(keep_r, keep_c)):
-            continue
-        keep_r.append(int(r))
-        keep_c.append(int(c))
-        if len(keep_r) == 48:
-            break
-    if len(keep_r) < 4:
-        raise TooFewCorners(f"found {len(keep_r)} corners, need 4")
-    picks = _widest_subset(np.array(keep_r, float), np.array(keep_c, float), 4)
-    half = window // 2 + 2
-    pts = np.empty((4, 2), dtype=np.float64)
-    for i in range(4):
-        r, c = keep_r[picks[i]], keep_c[picks[i]]
-        rr, cc = _refine_corner(gx, gy, r, c, half)
-        pts[i] = (cc + c0 + 0.5, rr + r0 + 0.5)
-
-    corners = order_corners(pts)
-    _check_quad(corners, component)
-    return corners
-
-
 def tree_sse(tree, x: np.ndarray, y: np.ndarray) -> float:
     pred = tree.predict(x)
     return float(np.sum((pred - y) ** 2))

@@ -161,6 +161,17 @@ def test_vlp_errors_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "invalid literal" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["extract", "--frame", "missing.pgm"],
+    ["eval", "--model", "missing.json", "--data", "missing.csv"],
+])
+def test_missing_input_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "No such file" in err and "missing." in err
+
+
 @pytest.mark.parametrize("text", [
     '{"format":"vlp-model/1","kind":"bogus","axes":{}}',
     '{"format":"vlp-model/1","kind":"gbt","axes":{"x":{"trees":[',

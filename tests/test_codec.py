@@ -18,7 +18,6 @@ from vlp.codec import (
     dm_decode,
     dm_encode,
     extract_row_profile,
-    fundamental_levels,
     id_bits,
     match_id,
     rcs_to_wcs,
@@ -83,15 +82,6 @@ def test_dm_encode_validation():
         dm_encode(256)
     with pytest.raises(ValueError):
         dm_encode(10, bit_rate_hz=0.0)
-
-
-def test_fundamental_levels_doubles_open_seams():
-    w = dm_encode(0xB6)
-    fund = fundamental_levels(w)
-    if w.levels[0] == w.levels[-1]:
-        assert fund == w.levels + tuple(1 - x for x in w.levels)
-    else:
-        assert fund == w.levels
 
 
 def test_row_profile_validation():

@@ -19,11 +19,9 @@ from vlp.render import (
     add_capture_noise,
     apply_rolling_shutter,
     base_brightness,
-    constant_on,
     emission_angle_deg,
     rasterize_panel,
     read_pgm,
-    render_frame,
     row_exposure_fraction,
     row_exposure_fractions,
     write_pgm,
@@ -39,7 +37,7 @@ def test_waveform_validation_and_properties():
     w = Waveform((1, 0, 1, 1), 50.0)
     assert w.period_us == 200.0
     assert w.duty == pytest.approx(0.75)
-    assert constant_on().duty == 1.0
+    assert Waveform((1,), 50.0).duty == 1.0
     with pytest.raises(ValueError):
         Waveform((), 50.0)
     with pytest.raises(ValueError):
@@ -120,7 +118,7 @@ def test_rasterize_matches_point_in_quad_oracle(intr, panel):
 
 
 def test_row_exposure_fraction_constant_on():
-    w = constant_on()
+    w = Waveform((1,), 50.0)
     for start in (0.0, 13.7, 9999.0):
         assert row_exposure_fraction(w, start, 68.0) == pytest.approx(1.0)
 
@@ -146,7 +144,7 @@ def test_row_exposure_fractions_matches_scalar():
 
 def test_constant_waveform_leaves_frame_unchanged(intr, panel):
     base = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.3), panel, 1.0)
-    striped = apply_rolling_shutter(base, base.quad, constant_on(), phase_us=0.0)
+    striped = apply_rolling_shutter(base, base.quad, Waveform((1,), 50.0), phase_us=0.0)
     np.testing.assert_array_equal(striped.pixels, base.pixels)
 
 
@@ -242,8 +240,9 @@ def test_capture_noise_rejects_negative_magnitudes(intr, panel):
 
 
 def test_pgm_round_trip(tmp_path, intr, panel):
-    frame = render_frame(intr, nadir_pose(0.0, 0.0, 1.3), panel,
-                         Waveform((1, 0), 50.0), phase_us=11.0)
+    pose = nadir_pose(0.0, 0.0, 1.3)
+    base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+    frame = apply_rolling_shutter(base, base.quad, Waveform((1, 0), 50.0), phase_us=11.0)
     path = tmp_path / "cap.pgm"
     write_pgm(frame, path)
     back = read_pgm(path)
@@ -269,13 +268,3 @@ def test_read_pgm_rejects_garbage(tmp_path):
     p.write_bytes(b"P5\n2")
     with pytest.raises(MalformedFrame, match="truncated"):
         read_pgm(p)
-
-
-def test_render_frame_composes_rasterize_and_shutter(intr, panel):
-    pose = nadir_pose(0.05, -0.1, 1.5)
-    w = Waveform((1, 0, 0, 1), 50.0)
-    direct = render_frame(intr, pose, panel, w, phase_us=7.0)
-    base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
-    manual = apply_rolling_shutter(base, base.quad, w, phase_us=7.0)
-    np.testing.assert_array_equal(direct.pixels, manual.pixels)
-    assert direct.quad == manual.quad
