@@ -8,7 +8,7 @@ luminaire database to anchor positions in world coordinates.
 
 __version__ = "0.1.0"
 
-from . import codec, errors, geometry, harness, learn, photometry, render, vision
+from . import codec, errors, geometry, harness, learn, render, vision
 
-__all__ = ["codec", "errors", "geometry", "harness", "learn", "photometry",
-           "render", "vision", "__version__"]
+__all__ = ["codec", "errors", "geometry", "harness", "learn", "render",
+           "vision", "__version__"]

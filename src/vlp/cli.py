@@ -7,8 +7,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .codec import (DEFAULT_BIT_RATE_HZ, LedDatabase, dm_decode, dm_encode,
                     extract_row_profile, match_id, stripe_merge_radius)
 from .config import build_study_config, parse_config_file

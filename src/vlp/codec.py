@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def cyclically_equivalent(a: int, b: int) -> bool:
 def dm_encode(led_id: int, bit_rate_hz: float = DEFAULT_BIT_RATE_HZ) -> Waveform:
     """Differential Manchester waveform for an 8-bit id.
 
-    level_duration = 1 / (2 * bit_rate); 16 levels, flagged repeating.
+    level_duration = 1 / (2 * bit_rate); 16 levels.
     """
     if not (bit_rate_hz > 0):
         raise ValueError("bit rate must be positive")
@@ -78,11 +78,7 @@ def dm_encode(led_id: int, bit_rate_hz: float = DEFAULT_BIT_RATE_HZ) -> Waveform
         second = first ^ (1 if b == 0 else 0)  # mid-bit transition encodes 0
         levels.extend((first, second))
         first = 1 - second  # transition at the next bit boundary
-    return Waveform(
-        levels=tuple(levels),
-        level_duration_us=1e6 / (2.0 * bit_rate_hz),
-        repeating=True,
-    )
+    return Waveform(levels=tuple(levels), level_duration_us=1e6 / (2.0 * bit_rate_hz))
 
 
 @dataclass(frozen=True)
@@ -238,12 +234,9 @@ class LedRecord:
 
     id: int
     world_position: Vec3
-    mount_height_m: float = 2.56
 
     def __post_init__(self):
         id_bits(self.id)  # range check
-        if not (self.mount_height_m > 0):
-            raise ValueError("mount height must be positive")
 
 
 class LedDatabase:
@@ -297,22 +290,17 @@ class LedDatabase:
         return LedDatabase(records)
 
 
-def match_id(bits, db) -> LedRecord:
+def match_id(candidates, db) -> LedRecord:
     """Find the deployed LED whose id matches the decoded bits up to cyclic
     rotation.
 
-    bits may be a single 8-bit pattern or the candidate sequence returned by
-    dm_decode; candidates are tried best-first and the first that matches a
-    record wins.
+    candidates is the sequence of 8-bit patterns that dm_decode returns;
+    they are tried best-first and the first that matches a record wins.
     """
     records = list(db)
     if not records:
         raise NoMatch("empty database")
-    seq = list(bits)
-    if seq and isinstance(seq[0], (int, bool, np.integer)):
-        cands = [tuple(int(b) for b in seq)]
-    else:
-        cands = [tuple(int(b) for b in c) for c in seq]
+    cands = [tuple(int(b) for b in c) for c in candidates]
     for cand in cands:
         if len(cand) != 8:
             raise ValueError(f"candidate must have 8 bits, got {len(cand)}")

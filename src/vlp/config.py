@@ -16,7 +16,8 @@ __all__ = ["parse_config_file", "build_study_config"]
 def parse_config_file(path) -> dict[str, str]:
     """Flat key -> raw string mapping; duplicate keys are an error."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD and fail the key or value check
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

@@ -34,10 +34,6 @@ class BadFeatures(VlpError, ValueError):
     """Feature input to a position model is not a finite (N, 8) matrix."""
 
 
-class MalformedIes(VlpError):
-    """IES photometric file could not be parsed."""
-
-
 class EmptyQuad(VlpError):
     """Projected quad covers no pixel on the sensor."""
 

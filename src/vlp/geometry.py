@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BehindCamera, DegenerateQuad
-from .photometry import PolarCurve, lambertian_default
 
 # Camera axes vs LCS axes at identity attitude: x -> x, y -> -y, z -> -z.
 BASE_ALIGNMENT = np.diag([1.0, -1.0, -1.0])
@@ -125,20 +124,15 @@ class CameraIntrinsics:
 class LedPanel:
     """Square ceiling LED panel, centered at the LCS origin, facing +z (down).
 
-    cct_k is descriptive metadata only. The intensity curve defaults to a
-    Lambertian distribution carrying the panel's luminous flux.
+    The panel emits as a Lambertian source carrying flux_lm lumens.
     """
 
     side_m: float = 0.595
     flux_lm: float = 3600.0
-    cct_k: float = 4000.0
-    curve: PolarCurve | None = None
 
     def __post_init__(self):
         if self.side_m <= 0 or self.flux_lm <= 0:
             raise ValueError("panel side and flux must be positive")
-        if self.curve is None:
-            object.__setattr__(self, "curve", lambertian_default(self.flux_lm))
 
     def corners_lcs(self) -> np.ndarray:
         """The four panel corners in the LCS, shape (4, 3)."""

@@ -10,7 +10,7 @@ from .sweep import (
     generate_capture_set,
     split,
 )
-from .evaluate import EvalReport, error_3d, evaluate
+from .evaluate import EvalReport, evaluate
 from .report import render_report_json, write_report, write_cdf_csv, write_grid_csv, write_grid_svg
 from .studies import StudyConfig, run_experiment
 
@@ -23,7 +23,6 @@ __all__ = [
     "generate_capture_set",
     "split",
     "EvalReport",
-    "error_3d",
     "evaluate",
     "render_report_json",
     "write_report",

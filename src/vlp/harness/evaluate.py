@@ -8,18 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EmptyTestSet
-from ..geometry import Vec3
 from .sweep import Dataset
 
-__all__ = ["error_3d", "EvalReport", "evaluate"]
+__all__ = ["EvalReport", "evaluate"]
 
 AXES = ("x", "y", "z")
-
-
-def error_3d(pred: Vec3, truth: Vec3) -> float:
-    """Euclidean distance between predicted and true position, in cm."""
-    d = pred.as_array() - truth.as_array()
-    return 100.0 * float(np.linalg.norm(d))
 
 
 @dataclass

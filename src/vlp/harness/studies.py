@@ -7,7 +7,7 @@ every emitted file is byte-stable across reruns of the same config.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,9 +53,21 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; pick one of {STUDIES}")
+        # build every spec a study can run on, so their checks fire here,
+        # before run_experiment creates the output directory
+        self.sweep_spec(self.heights_sweep_train)
+        self.capture_spec(self.heights_capture, 0)
+        self.capture_spec(self.heights_test, 0)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_extent_m, self.grid_spacing_m)
+
+    def sweep_spec(self, heights: tuple[float, ...]) -> SweepSpec:
+        return SweepSpec(heights, self.angle_step_deg, self.grid())
+
+    def capture_spec(self, heights: tuple[float, ...], seed: int) -> CaptureSpec:
+        return CaptureSpec(heights, self.grid(), self.per_location,
+                           self.yaw_limit_deg, self.tilt_max_deg, seed)
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -105,7 +117,6 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
     intr = intr or CameraIntrinsics()
     panel = panel or LedPanel()
     os.makedirs(out_dir, exist_ok=True)
-    grid = cfg.grid()
     seeds = np.random.SeedSequence(cfg.seed).generate_state(8, np.uint64)
     echo = cfg.echo()
     reports: dict[str, EvalReport] = {}
@@ -116,10 +127,9 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
 
     if cfg.study == "model-selection":
         caps = generate_capture_set(
-            CaptureSpec(cfg.heights_capture, grid, cfg.per_location,
-                        cfg.yaw_limit_deg, cfg.tilt_max_deg, int(seeds[0])),
-            intr, panel, corner_jitter_px=cfg.corner_jitter_px,
-            pixel_sigma=cfg.pixel_sigma, clean_reference=True)
+            cfg.capture_spec(cfg.heights_capture, int(seeds[0])), intr, panel,
+            corner_jitter_px=cfg.corner_jitter_px, pixel_sigma=cfg.pixel_sigma,
+            clean_reference=True)
         train, test_noisy = split(caps, cfg.test_per_location, int(seeds[1]))
         test_clean = test_noisy.with_features(test_noisy.clean_features, CLEAN_TAG)
         base = dict(echo, train_rows=len(train), capture_dropped=caps.dropped)
@@ -132,14 +142,10 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
         return reports
 
     if cfg.study == "sim-vs-capture":
-        sweep = generate_sweep(
-            SweepSpec(cfg.heights_capture, cfg.angle_step_deg, grid),
-            intr, panel)
+        sweep = generate_sweep(cfg.sweep_spec(cfg.heights_capture), intr, panel)
         caps = generate_capture_set(
-            CaptureSpec(cfg.heights_capture, grid, cfg.per_location,
-                        cfg.yaw_limit_deg, cfg.tilt_max_deg, int(seeds[5])),
-            intr, panel, corner_jitter_px=cfg.corner_jitter_px,
-            pixel_sigma=cfg.pixel_sigma)
+            cfg.capture_spec(cfg.heights_capture, int(seeds[5])), intr, panel,
+            corner_jitter_px=cfg.corner_jitter_px, pixel_sigma=cfg.pixel_sigma)
         base = dict(echo, train_rows=len(sweep), capture_dropped=caps.dropped)
         for kind in [k for k in cfg.model_kinds if k in ("forest", "gbt")]:
             model = _fit(cfg, kind, sweep, seeds)
@@ -148,14 +154,10 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
         return reports
 
     # height-generalization: train heights disjoint from test heights
-    sweep = generate_sweep(
-        SweepSpec(cfg.heights_sweep_train, cfg.angle_step_deg, grid),
-        intr, panel)
+    sweep = generate_sweep(cfg.sweep_spec(cfg.heights_sweep_train), intr, panel)
     caps = generate_capture_set(
-        CaptureSpec(cfg.heights_test, grid, cfg.per_location,
-                    cfg.yaw_limit_deg, cfg.tilt_max_deg, int(seeds[5])),
-        intr, panel, corner_jitter_px=cfg.corner_jitter_px,
-        pixel_sigma=cfg.pixel_sigma)
+        cfg.capture_spec(cfg.heights_test, int(seeds[5])), intr, panel,
+        corner_jitter_px=cfg.corner_jitter_px, pixel_sigma=cfg.pixel_sigma)
     base = dict(echo, train_rows=len(sweep), capture_dropped=caps.dropped)
     model = _fit(cfg, "gbt", sweep, seeds)
     emit("gbt", "test", evaluate(model, caps, config=dict(base, variant="test")))

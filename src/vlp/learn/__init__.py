@@ -9,7 +9,6 @@ from .mlp import Mlp, fit_mlp, loss_and_grads
 from .model import (
     PositionModel,
     fit_position_model,
-    predict_position,
     save_model,
     load_model,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "loss_and_grads",
     "PositionModel",
     "fit_position_model",
-    "predict_position",
     "save_model",
     "load_model",
 ]

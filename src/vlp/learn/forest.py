@@ -33,15 +33,13 @@ class Forest:
         return acc / len(self.trees)
 
 
-def fit_forest(features, targets, *, n_trees: int = 150,
-               max_depth: int | None = None, min_samples_leaf: int = 1,
-               seed=None) -> Forest:
+def fit_forest(features, targets, *, n_trees: int = 150, seed=None) -> Forest:
     """Grow n_trees CART trees on bootstrap resamples (N draws with
     replacement).
 
     Each tree gets its own child seed spawned from `seed`, so the model is
     reproducible for a fixed seed no matter how trees might be scheduled.
-    Defaults follow common regression practice: unlimited depth, leaves of
+    Trees follow common regression practice: unlimited depth, leaves of
     one, every feature considered at every split.
     """
     x, y = _validate_xy(features, targets)
@@ -53,6 +51,5 @@ def fit_forest(features, targets, *, n_trees: int = 150,
     trees: list[Tree] = []
     for child in np.random.SeedSequence(seed).spawn(n_trees):
         rows = np.random.default_rng(child).integers(0, n, size=n)
-        trees.append(fit_tree(x[rows], y[rows], max_depth=max_depth,
-                              min_samples_leaf=min_samples_leaf))
+        trees.append(fit_tree(x[rows], y[rows]))
     return Forest(trees)

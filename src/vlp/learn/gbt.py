@@ -41,8 +41,7 @@ class GbtModel:
 
 
 def fit_gbt(features, targets, *, rounds: int = 150, learning_rate: float = 0.3,
-            max_depth: int | None = 6, reg_lambda: float = 1.0,
-            gamma: float = 0.0) -> GbtModel:
+            max_depth: int | None = 6, reg_lambda: float = 1.0) -> GbtModel:
     """Boost `rounds` trees on squared loss. Growth has no random choices,
     so the fit takes no seed."""
     x, y = _validate_xy(features, targets)
@@ -51,14 +50,13 @@ def fit_gbt(features, targets, *, rounds: int = 150, learning_rate: float = 0.3,
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
     _check_depth(max_depth)
-    if reg_lambda < 0 or gamma < 0:
-        raise ValueError("penalties must be >= 0")
+    if reg_lambda < 0:
+        raise ValueError("reg_lambda must be >= 0")
     base = float(y.mean())
     pred = np.full(x.shape[0], base, dtype=np.float64)
     trees: list[Tree] = []
     for _ in range(rounds):
-        tree = grow_tree(x, pred - y, max_depth=max_depth, min_leaf=1,
-                         reg_lambda=reg_lambda, gamma=gamma)
+        tree = grow_tree(x, pred - y, max_depth=max_depth, reg_lambda=reg_lambda)
         pred += learning_rate * tree.predict(x)
         trees.append(tree)
     return GbtModel(base, learning_rate, trees)

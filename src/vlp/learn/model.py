@@ -12,14 +12,12 @@ import json
 import numpy as np
 
 from ..errors import BadFeatures, MalformedModel
-from ..geometry import Vec3
 from .tree import Tree, fit_tree
 from .forest import Forest, fit_forest
 from .gbt import GbtModel, fit_gbt
 from .mlp import Mlp, fit_mlp
 
-__all__ = ["PositionModel", "fit_position_model", "predict_position",
-           "save_model", "load_model"]
+__all__ = ["PositionModel", "fit_position_model", "save_model", "load_model"]
 
 FORMAT_TAG = "vlp-model/1"
 AXES = ("x", "y", "z")
@@ -91,12 +89,6 @@ def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
         seeded = {"seed": int(axis_seeds[axis])} if kind in _SEEDED else {}
         submodels.append(fitter(x, y[:, axis], **seeded, **params))
     return PositionModel(kind, submodels, seed, params)
-
-
-def predict_position(model: PositionModel, features) -> Vec3:
-    """Single feature vector to a predicted LCS position."""
-    out = model.predict(np.asarray(features, dtype=np.float64).reshape(1, -1))
-    return Vec3(float(out[0, 0]), float(out[0, 1]), float(out[0, 2]))
 
 
 def _tree_doc(tree: Tree) -> dict:

@@ -84,25 +84,26 @@ def _check_depth(max_depth):
         raise ValueError("max_depth must be >= 0 or None")
 
 
-def grow_tree(x, g, *, max_depth: int | None, min_leaf: int, reg_lambda: float,
-              gamma: float) -> Tree:
+def grow_tree(x, g, *, max_depth: int | None, reg_lambda: float) -> Tree:
     """Grow one tree on per-row gradients g with unit hessians.
 
-    Every node scores all features at once, at midpoints between
-    consecutive distinct sorted values, and takes the split of highest
-    second-order gain
+    Every node scores all features at once, at cuts between consecutive
+    distinct sorted values, and takes the split of highest second-order
+    gain
 
         gain = 1/2 * [G_L^2/(n_L + lambda) + G_R^2/(n_R + lambda)
-                      - G^2/(n + lambda)] - gamma,
+                      - G^2/(n + lambda)],
 
     splitting only when gain > 0. Ties resolve to the lowest feature index,
-    then the lowest threshold. A node holds -G/(n + lambda). Growth stops
-    at max_depth (None = unlimited), when a child would fall below min_leaf
-    rows, or at a constant gradient.
+    then the lowest threshold. A split stores the midpoint of the two values
+    it cuts between, or the lower value where the midpoint rounds onto the
+    upper, so x <= threshold sends exactly the lower rows left. A node holds
+    -G/(n + lambda). Growth stops at max_depth (None = unlimited), at a
+    single row, or at a constant gradient.
 
-    With lambda = gamma = 0 and g = -y (the squared-loss gradient at
-    prediction 0) the gain is half the SSE reduction and the node value is
-    the mean target: this is CART.
+    With lambda = 0 and g = -y (the squared-loss gradient at prediction 0)
+    the gain is half the SSE reduction and the node value is the mean
+    target: this is CART.
     """
     nodes = []  # [feature, threshold, left, right, value] per node, preorder
     # explicit stack, preorder: deep trees must not hit the recursion limit;
@@ -119,46 +120,46 @@ def grow_tree(x, g, *, max_depth: int | None, min_leaf: int, reg_lambda: float,
         nodes.append([-1, 0.0, -1, -1, -gsum / (n + reg_lambda)])
         # no split of a constant gradient has positive exact gain; rounding
         # in the prefix sums must not split one
-        if (n < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
+        if (n < 2 or (max_depth is not None and depth >= max_depth)
                 or gi.min() == gi.max()):
             continue
         # column f of order/xs/cg is feature f sorted on its own; row k of
-        # the gain matrix puts the first k + min_leaf sorted rows left
+        # the gain matrix puts the first k + 1 sorted rows left
         xi = x[idx]
         order = np.argsort(xi, axis=0, kind="stable")
         xs = np.take_along_axis(xi, order, axis=0)
         cg = np.cumsum(gi[order], axis=0)
-        sizes = np.arange(min_leaf, n - min_leaf + 1)[:, None]
-        gl = cg[min_leaf - 1 : n - min_leaf]
+        sizes = np.arange(1, n)[:, None]
+        gl = cg[:-1]
         gr = cg[-1] - gl
         gain = 0.5 * (gl * gl / (sizes + reg_lambda)
                       + gr * gr / ((n - sizes) + reg_lambda))
-        gain -= 0.5 * gsum * gsum / (n + reg_lambda) + gamma
+        gain -= 0.5 * gsum * gsum / (n + reg_lambda)
         # no cut between equal values
-        gain[xs[min_leaf - 1 : n - min_leaf] == xs[min_leaf:n - min_leaf + 1]] = -np.inf
+        gain[xs[:-1] == xs[1:]] = -np.inf
         # features as the outer axis: the first maximum is the lowest
         # feature, then the lowest threshold
         f, k = divmod(int(np.argmax(gain.T)), gain.shape[0])
         if not gain[k, f] > 0.0:
             continue
-        i = k + min_leaf
-        nodes[node][:3] = f, (xs[i - 1, f] + xs[i, f]) / 2.0, node + 1
+        i = k + 1
+        lo, hi = xs[i - 1, f], xs[i, f]
+        # the midpoint of two values one ULP apart rounds onto hi, and
+        # x <= hi would then send every row left
+        t = (lo + hi) / 2.0
+        nodes[node][:3] = f, (t if t < hi else lo), node + 1
         stack.append((idx[order[i:, f]], depth + 1, node))
         stack.append((idx[order[:i, f]], depth + 1, None))
     return Tree(*zip(*nodes))
 
 
-def fit_tree(features, targets, *, max_depth: int | None = None,
-             min_samples_leaf: int = 1) -> Tree:
+def fit_tree(features, targets, *, max_depth: int | None = None) -> Tree:
     """Grow a CART regression tree by exact greedy recursive partitioning.
 
     Each split minimizes the summed squared error of the child means.
-    Growth stops at max_depth (None = unlimited), when a child would fall
-    below min_samples_leaf, or at zero variance.
+    Growth stops at max_depth (None = unlimited), at a single row, or at
+    zero variance.
     """
     x, y = _validate_xy(features, targets)
     _check_depth(max_depth)
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be >= 1")
-    return grow_tree(x, -y, max_depth=max_depth, min_leaf=min_samples_leaf,
-                     reg_lambda=0.0, gamma=0.0)
+    return grow_tree(x, -y, max_depth=max_depth, reg_lambda=0.0)

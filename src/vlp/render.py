@@ -1,10 +1,10 @@
-"""Native frame synthesis: photometric brightness, scanline rasterization of
+"""Native frame synthesis: Lambertian brightness, scanline rasterization of
 the projected panel quad, per-row rolling-shutter modulation, and capture
 noise. Frames persist as binary PGM with a metadata comment line.
 
 The brightness model is deliberately minimal: the panel is the only radiance
 source, everything else is black at the short exposures this camera runs, so
-a frame is a filled quad whose value comes from an inverse-square photometric
+a frame is a filled quad whose value comes from a Lambertian inverse-square
 term, optionally striped by the shutter.
 """
 
@@ -50,12 +50,11 @@ class FrameMeta:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Binary OOK level sequence. level_duration_us is the dwell per level;
-    repeating means the sequence extends periodically in both directions."""
+    """Binary OOK level sequence, repeating in both directions.
+    level_duration_us is the dwell per level."""
 
     levels: tuple
     level_duration_us: float
-    repeating: bool = True
 
     def __post_init__(self):
         if len(self.levels) == 0:
@@ -174,24 +173,17 @@ def read_pgm(path) -> Frame:
     return Frame(px, meta)
 
 
-def emission_angle_deg(pose: Pose) -> float:
-    """Angle between the panel normal (downward +z) and the ray toward the
-    receiver. Depends on position only."""
-    d = pose.position.norm()
-    if d == 0:
-        raise ValueError("receiver at the panel center")
-    return math.degrees(math.acos(min(1.0, pose.position.z / d)))
-
-
 def base_brightness(pose: Pose, panel: LedPanel, intr: CameraIntrinsics) -> float:
     """Normalized panel pixel brightness in [0, 1] before shutter modulation.
 
-    clamp(k * I(theta_emit) / d^2 * iso_gain * exposure_us, 0, 1) with k
-    calibrated so the defaults saturate at 1.3 m nadir. Background radiance
-    is below quantization at these exposures, so non-panel pixels are 0.
+    clamp(k * I / d^2 * iso_gain * exposure_us, 0, 1) with the Lambertian
+    intensity I = (flux / pi) * cos(theta) toward the receiver, cos(theta)
+    = z / d, and k calibrated so the defaults saturate at 1.3 m nadir.
+    Background radiance is below quantization at these exposures, so
+    non-panel pixels are 0.
     """
     d = pose.position.norm()
-    intensity = panel.curve.intensity_at(emission_angle_deg(pose))
+    intensity = panel.flux_lm / math.pi * (pose.position.z / d)
     raw = BRIGHTNESS_K * intensity * intr.iso_gain * intr.exposure_us / (d * d)
     return float(min(1.0, max(0.0, raw)))
 
@@ -277,8 +269,8 @@ def rasterize_panel(intr: CameraIntrinsics, pose: Pose, panel: LedPanel,
 
 
 def _on_time_us(w: Waveform, t_us: np.ndarray) -> np.ndarray:
-    """Cumulative on-time of the waveform over [0, t) for each t (t may be
-    negative; the periodic extension is used when w.repeating)."""
+    """Cumulative on-time of the periodic waveform over [0, t) for each t
+    (t may be negative)."""
     t = np.asarray(t_us, dtype=np.float64)
     dur = w.level_duration_us
     prefix = np.concatenate([[0.0], np.cumsum(np.asarray(w.levels, dtype=np.float64) * dur)])
@@ -292,11 +284,9 @@ def _on_time_us(w: Waveform, t_us: np.ndarray) -> np.ndarray:
         lv = np.asarray(w.levels, dtype=np.float64)[j]
         return prefix[j] + lv * frac
 
-    if w.repeating:
-        cycles = np.floor(t / period)
-        tau = t - cycles * period
-        return cycles * on_per_period + partial(tau)
-    return partial(np.clip(t, 0.0, period))
+    cycles = np.floor(t / period)
+    tau = t - cycles * period
+    return cycles * on_per_period + partial(tau)
 
 
 def row_exposure_fraction(w: Waveform, row_start_us: float, exposure_us: float) -> float:
@@ -317,16 +307,13 @@ def row_exposure_fractions(w: Waveform, row_starts_us: np.ndarray, exposure_us: 
 
 
 def apply_rolling_shutter(frame: Frame, quad: CornerSet, w: Waveform, *,
-                          phase_us: float | None = None, rng=None) -> Frame:
+                          phase_us: float = 0.0) -> Frame:
     """Scale each panel pixel of row r by the row's waveform exposure fraction.
 
-    Row r starts exposing at t = r * row_readout_us + phase. The phase is
-    drawn uniformly over one waveform period when not given (captures are
-    unsynchronized); pass phase_us for reproducible stripes, or rng for a
-    seeded draw. Background pixels stay 0.
+    Row r starts exposing at t = r * row_readout_us + phase_us. Captures are
+    unsynchronized, so callers draw the phase over one waveform period.
+    Background pixels stay 0.
     """
-    if phase_us is None:
-        phase_us = float(rng.uniform(0.0, w.period_us)) if rng is not None else 0.0
     meta = frame.meta
     starts = np.arange(frame.height_px, dtype=np.float64) * meta.row_readout_us + phase_us
     factors = row_exposure_fractions(w, starts, meta.exposure_us)

@@ -30,9 +30,7 @@ __all__ = [
     "largest_component",
     "detect_corners",
     "order_corners",
-    "features",
     "extract_corners",
-    "extract_features",
 ]
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
@@ -42,11 +40,9 @@ SEED_PX = 1.0            # a hull edge's support: side points this near it
 OUTLIER_PX = 2.0         # a side's fit keeps points this near its seed edge
 
 
-def binarize(frame: Frame, threshold: int = THRESHOLD) -> np.ndarray:
-    """Boolean mask of pixels >= threshold."""
-    if not (0 <= threshold <= 255):
-        raise ValueError(f"threshold must be in 0..255, got {threshold}")
-    return frame.pixels >= threshold
+def binarize(frame: Frame) -> np.ndarray:
+    """Boolean mask of pixels >= THRESHOLD."""
+    return frame.pixels >= THRESHOLD
 
 
 def dilate(mask: np.ndarray, radius_px: int) -> np.ndarray:
@@ -218,11 +214,6 @@ def _detect_corners(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
     return _fit_sides(pts, hull, hull[_widest_subset(hull)])
 
 
-def features(corners: CornerSet) -> np.ndarray:
-    """Flatten a canonical corner set to (u1, v1, ..., u4, v4)."""
-    return corners.points.reshape(-1).copy()
-
-
 def _check_quad(corners: CornerSet, component: np.ndarray) -> None:
     """Reject non-quad blobs: the ordered corners must form a convex
     quadrilateral covering at least 80% and at most 110% of the component's
@@ -287,8 +278,3 @@ def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
     corners = order_corners(_detect_corners(component, (box[0].start, box[1].start)))
     _check_quad(corners, component)
     return corners
-
-
-def extract_features(frame: Frame, **kwargs) -> np.ndarray:
-    """extract_corners flattened to the 8-float feature vector."""
-    return features(extract_corners(frame, **kwargs))

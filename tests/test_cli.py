@@ -161,6 +161,21 @@ def test_vlp_errors_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "invalid literal" in err
 
 
+@pytest.mark.parametrize("config, extra", [
+    (b"study = model-selection\nseed = \xff\n", []),
+    (b"study = model-selection\n", ["--per-location", "0"]),
+    (b"study = model-selection\ngrid.spacing_m = 0.25\n", []),
+], ids=["undecodable-byte", "per-location-0", "spacing-not-dividing-extent"])
+def test_malformed_study_config_exits_2_before_any_output(tmp_path, capsys,
+                                                          config, extra):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_bytes(config)
+    out = tmp_path / "reports"
+    assert main(["report", "--out", str(out), "--config", str(cfg), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: config key")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "--frame", "missing.pgm"],
     ["eval", "--model", "missing.json", "--data", "missing.csv"],

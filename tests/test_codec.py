@@ -193,8 +193,6 @@ def test_stripe_merge_radius(intr):
 def test_led_record_validation():
     with pytest.raises(ValueError):
         LedRecord(300, Vec3(0, 0, 2.56))
-    with pytest.raises(ValueError):
-        LedRecord(1, Vec3(0, 0, 2.56), mount_height_m=0.0)
 
 
 def test_database_rejects_confusable_ids():
@@ -244,26 +242,26 @@ def test_database_csv_rejects_bad_cells(tmp_path, data, match):
         LedDatabase.from_csv(p)
 
 
-def test_match_id_single_pattern_and_candidates():
+def test_match_id_candidates():
     db = LedDatabase([LedRecord(0xB6, Vec3(0, 0, 2.56)),
                       LedRecord(0x0F, Vec3(1, 1, 2.56))])
-    assert match_id(id_bits(0xB6), db).id == 0xB6
+    assert match_id([id_bits(0xB6)], db).id == 0xB6
     rotated = id_bits(0xB6)[3:] + id_bits(0xB6)[:3]
-    assert match_id(rotated, db).id == 0xB6
-    # candidate list: first match wins
-    cands = (id_bits(0x0F), id_bits(0xB6))
-    assert match_id(cands, db).id == 0x0F
+    assert match_id([rotated], db).id == 0xB6
+    # first match wins, and unmatched candidates before it are skipped
+    assert match_id((id_bits(0x0F), id_bits(0xB6)), db).id == 0x0F
+    assert match_id((id_bits(0x33), id_bits(0xB6)), db).id == 0xB6
     with pytest.raises(NoMatch):
-        match_id(id_bits(0x33), db)
+        match_id([id_bits(0x33)], db)
     with pytest.raises(ValueError):
-        match_id((1, 0, 1), db)
+        match_id([(1, 0, 1)], db)
 
 
 def test_match_id_flags_ambiguous_deployment():
     # bypassing LedDatabase validation with a raw record list
     rogue = [LedRecord(0x01, Vec3(0, 0, 2.56)), LedRecord(0x80, Vec3(1, 0, 2.56))]
     with pytest.raises(AmbiguousMatch):
-        match_id(id_bits(0x01), rogue)
+        match_id([id_bits(0x01)], rogue)
 
 
 def test_rcs_to_wcs_flips_the_vertical_axis():

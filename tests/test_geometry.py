@@ -96,6 +96,12 @@ def test_panel_corners_lcs():
         LedPanel(side_m=0.0)
 
 
+def test_panel_is_a_hashable_value():
+    assert LedPanel() == LedPanel()
+    assert hash(LedPanel()) == hash(LedPanel())
+    assert LedPanel(flux_lm=1800.0) != LedPanel()
+
+
 def test_attitude_matrices_are_rotations():
     g = rng(7)
     for _ in range(200):

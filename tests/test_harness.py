@@ -28,7 +28,6 @@ from vlp.harness import (
     GridSpec,
     StudyConfig,
     SweepSpec,
-    error_3d,
     evaluate,
     generate_capture_set,
     generate_sweep,
@@ -261,11 +260,6 @@ def test_capture_rejects_bad_noise(intr, panel):
     with pytest.raises(ValueError):
         generate_capture_set(spec, intr, panel, corner_jitter_px=0.0,
                              pixel_sigma=1.5)
-
-
-def test_error_3d_hand_value():
-    assert error_3d(Vec3(0.13, 0.24, 1.3), Vec3(0.1, 0.2, 1.3)) == pytest.approx(5.0)
-    assert error_3d(Vec3(0.0, 0.0, 1.0), Vec3(0.0, 0.0, 1.0)) == 0.0
 
 
 class _Stub:

@@ -12,7 +12,6 @@ from helpers import (
     gbt_leaf_identity_errors,
     reference_grow_tree,
     tree_sse,
-    walk_leaves,
 )
 from vlp.learn import (
     Forest,
@@ -26,12 +25,10 @@ from vlp.learn import (
     fit_position_model,
     fit_tree,
     load_model,
-    predict_position,
     save_model,
 )
 from vlp.errors import BadFeatures, MalformedModel
 from vlp.learn.tree import grow_tree
-from vlp.geometry import Vec3
 
 
 # ---------------------------------------------------------------- trees
@@ -84,20 +81,21 @@ def test_tree_memorizes_unique_rows():
     np.testing.assert_allclose(tree.predict(x), y, atol=1e-12)
 
 
-def test_tree_min_samples_leaf():
-    g = rng(6)
-    x = g.normal(size=(24, 2))
-    y = g.normal(size=24)
-    tree = fit_tree(x, y, min_samples_leaf=4)
-    for _, idx in walk_leaves(tree, x):
-        assert idx.size >= 4
-
-
 def test_tree_tie_breaks_to_lowest_feature():
     base = np.array([[0.0], [1.0], [2.0], [3.0]])
     x = np.hstack([base, base])  # identical columns, identical gains
     tree = fit_tree(x, np.array([0.0, 0.0, 1.0, 1.0]))
     assert tree.feature[0] == 0
+
+
+def test_tree_splits_values_one_ulp_apart():
+    # the midpoint of a and its successor rounds onto the successor, so a
+    # midpoint threshold would send both rows left
+    a = 1.0 + 2.0**-52
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    tree = fit_tree([[a], [b]], [0.0, 1.0])
+    np.testing.assert_array_equal(tree.predict(np.array([[a], [b]])), [0.0, 1.0])
 
 
 def test_tree_validation():
@@ -107,8 +105,6 @@ def test_tree_validation():
         fit_tree(x, y[:3])
     with pytest.raises(ValueError):
         fit_tree(x * np.nan, y)
-    with pytest.raises(ValueError):
-        fit_tree(x, y, min_samples_leaf=0)
     with pytest.raises(ValueError):
         fit_tree(x, y, max_depth=-1)
     with pytest.raises(ValueError):
@@ -128,10 +124,8 @@ def test_grow_tree_matches_reference_grower():
             x = np.round(x, 1)
             grad = np.round(grad, 1)
         params = {"max_depth": (None, 1, 3, 8)[k % 4],
-                  "min_leaf": int(g.integers(1, 4)),
-                  "reg_lambda": (0.0, 0.3, 1.0)[k % 3],
-                  "gamma": 0.05 if k % 5 == 0 else 0.0}
-        want = reference_grow_tree(x, grad, **params)
+                  "reg_lambda": (0.0, 0.3, 1.0)[k % 3]}
+        want = reference_grow_tree(x, grad, min_leaf=1, gamma=0.0, **params)
         assert grow_tree(x, grad, **params) == want, (k, params)
 
 
@@ -188,8 +182,6 @@ def test_forest_validation():
         fit_forest(x, np.zeros(4), n_trees=0)
     with pytest.raises(ValueError):
         fit_forest(x[:1], np.zeros(1))
-    with pytest.raises(ValueError):
-        fit_forest(x, np.zeros(4), max_depth=-1)
 
 
 # ------------------------------------------------------------------ gbt
@@ -268,15 +260,6 @@ def test_gbt_large_lambda_freezes_predictions():
     np.testing.assert_allclose(model.predict(x), y.mean(), atol=1e-6)
 
 
-def test_gbt_gamma_prunes_to_stumps():
-    g = rng(25)
-    x = g.normal(size=(30, 2))
-    y = g.normal(size=30)
-    model = fit_gbt(x, y, rounds=3, gamma=1e9)
-    assert all(t.n_leaves == 1 for t in model.trees)
-    np.testing.assert_allclose(model.predict(x), y.mean(), atol=1e-9)
-
-
 def test_gbt_validation():
     x = np.zeros((4, 1))
     y = np.zeros(4)
@@ -284,8 +267,6 @@ def test_gbt_validation():
         fit_gbt(x, y, rounds=-1)
     with pytest.raises(ValueError):
         fit_gbt(x, y, reg_lambda=-0.1)
-    with pytest.raises(ValueError):
-        fit_gbt(x, y, gamma=-0.1)
     with pytest.raises(ValueError):
         fit_gbt(x, y, max_depth=-1)
     for rate in (0.0, -0.3):
@@ -372,9 +353,6 @@ def test_position_model_fit_predict(kind):
     pred = model.predict(x)
     assert pred.shape == (30, 3)
     assert model.kind == kind and model.seed == 2
-    fix = predict_position(model, x[0])
-    assert isinstance(fix, Vec3)
-    np.testing.assert_allclose(fix.as_array(), pred[0])
 
 
 @pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))

@@ -32,6 +32,7 @@ from vlp.render import (
     rasterize_panel,
 )
 from vlp.vision import (
+    THRESHOLD,
     _check_quad,
     _detect_corners,
     _padded_bbox,
@@ -41,8 +42,6 @@ from vlp.vision import (
     dilate,
     erode,
     extract_corners,
-    extract_features,
-    features,
     largest_component,
 )
 
@@ -52,12 +51,13 @@ def _frame_from(mask: np.ndarray) -> Frame:
 
 
 def test_binarize_threshold_semantics(intr, panel):
+    assert THRESHOLD == 128
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.19), panel, 0.5)
     assert frame.fill == 128
-    assert binarize(frame, 128).sum() == 800 * 800
-    assert binarize(frame, 129).sum() == 0
-    with pytest.raises(ValueError):
-        binarize(frame, 300)
+    assert binarize(frame).sum() == 800 * 800
+    frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.19), panel, 127 / 255)
+    assert frame.fill == 127
+    assert binarize(frame).sum() == 0
 
 
 def test_dilate_erode_square_element():
@@ -224,19 +224,6 @@ def test_check_quad_rejects_reflex_corner():
     pts = np.array([[10.0, 10.0], [5.0, 4.0], [0.0, 0.0], [10.0, 0.0]])
     with pytest.raises(VisionFailure, match="non-convex"):
         _check_quad(CornerSet(pts), np.ones((5, 5), dtype=bool))
-
-
-def test_features_flatten_order(intr, panel):
-    corners = project_panel_corners(intr, nadir_pose(0.0, 0.0, 1.3), panel)
-    flat = features(corners)
-    assert flat.shape == (8,)
-    np.testing.assert_array_equal(flat.reshape(4, 2), corners.points)
-
-
-def test_extract_features_matches_extract_corners(intr, panel):
-    frame = rasterize_panel(intr, nadir_pose(0.05, 0.0, 1.4), panel, 1.0)
-    np.testing.assert_array_equal(extract_features(frame),
-                                  features(extract_corners(frame)))
 
 
 @settings(max_examples=300)
