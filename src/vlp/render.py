@@ -273,20 +273,13 @@ def _on_time_us(w: Waveform, t_us: np.ndarray) -> np.ndarray:
     (t may be negative)."""
     t = np.asarray(t_us, dtype=np.float64)
     dur = w.level_duration_us
-    prefix = np.concatenate([[0.0], np.cumsum(np.asarray(w.levels, dtype=np.float64) * dur)])
-    period = w.period_us
-    on_per_period = prefix[-1]
-
-    def partial(tau):
-        # on-time within [0, tau) for tau in [0, period]
-        j = np.minimum(np.floor(tau / dur).astype(np.int64), len(w.levels) - 1)
-        frac = tau - j * dur
-        lv = np.asarray(w.levels, dtype=np.float64)[j]
-        return prefix[j] + lv * frac
-
-    cycles = np.floor(t / period)
-    tau = t - cycles * period
-    return cycles * on_per_period + partial(tau)
+    levels = np.asarray(w.levels, dtype=np.float64)
+    prefix = np.concatenate([[0.0], np.cumsum(levels * dur)])
+    cycles = np.floor(t / w.period_us)
+    tau = t - cycles * w.period_us  # in [0, period]
+    # on-time within [0, tau): whole levels before level j, then part of j
+    j = np.minimum(np.floor(tau / dur).astype(np.int64), len(levels) - 1)
+    return cycles * prefix[-1] + (prefix[j] + levels[j] * (tau - j * dur))
 
 
 def row_exposure_fraction(w: Waveform, row_start_us: float, exposure_us: float) -> float:
