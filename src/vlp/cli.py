@@ -47,10 +47,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_capture(args) -> int:
     spec = CaptureSpec(_heights(args.heights), GridSpec(args.extent, args.spacing),
-                       args.per_location, args.yaw_limit, args.tilt_max, args.seed)
-    ds = generate_capture_set(spec, CameraIntrinsics(), LedPanel(),
-                              corner_jitter_px=args.jitter,
-                              pixel_sigma=args.pixel_sigma)
+                       args.per_location, args.yaw_limit, args.tilt_max, args.seed,
+                       args.jitter, args.pixel_sigma)
+    ds = generate_capture_set(spec, CameraIntrinsics(), LedPanel())
     ds.to_csv(args.out)
     print(f"captured {len(ds)} rows ({ds.dropped} dropped) -> {args.out}")
     return 0
@@ -58,9 +57,7 @@ def _cmd_capture(args) -> int:
 
 def _cmd_extract(args) -> int:
     frame = read_pgm(args.frame)
-    radius = args.merge_radius
-    if args.striped and radius == 0:
-        radius = stripe_merge_radius(frame.meta)
+    radius = stripe_merge_radius(frame.meta) if args.striped else 0
     corners = extract_corners(frame, merge_radius=radius)
     print(",".join(repr(float(v)) for v in corners.points.reshape(8)))
     return 0
@@ -194,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--frame", required=True)
     s.add_argument("--striped", action="store_true",
                    help="close modulation stripes before detection")
-    s.add_argument("--merge-radius", type=int, default=0)
     s.set_defaults(fn=_cmd_extract)
 
     s = sub.add_parser("train", help="fit a position model from a features CSV")
@@ -248,7 +244,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (VlpError, OSError) as exc:  # OSError: a missing or unreadable path
+    except (VlpError, OSError, ValueError) as exc:
+        # OSError: a missing or unreadable path; ValueError: a flag value
+        # that a spec, fitter or id check rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

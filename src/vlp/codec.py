@@ -60,9 +60,10 @@ def rotations(bits) -> set:
     return {bits[k:] + bits[:k] for k in range(len(bits))}
 
 
-def cyclically_equivalent(a: int, b: int) -> bool:
-    """True when two 8-bit ids are cyclic rotations of each other."""
-    return id_bits(b) in rotations(id_bits(a))
+def rotation_class(bits) -> tuple:
+    """The smallest rotation of a bit pattern: the key of its rotation
+    class, which is all the decoder can recover without framing."""
+    return min(rotations(bits))
 
 
 def dm_encode(led_id: int, bit_rate_hz: float = DEFAULT_BIT_RATE_HZ) -> Waveform:
@@ -215,9 +216,8 @@ def dm_decode(profile: RowProfile, row_readout_us: float, exposure_us: float,
             bits.append(0 if (start + 1) in transition_at else 1)
             if k > 0 and start not in transition_at:
                 violations += 1
-        # rotation is unobservable without framing, so report the rotation
-        # class by its smallest member; match_id rotates anyway
-        canonical = min(rotations(tuple(bits)))
+        # rotation is unobservable without framing: report the class
+        canonical = rotation_class(bits)
         if all(c[2] != canonical for c in candidates):
             candidates.append((violations, align, canonical))
     if not candidates:
@@ -240,7 +240,7 @@ class LedRecord:
 
 
 class LedDatabase:
-    """Immutable deployed-LED registry.
+    """Immutable deployed-LED registry, keyed by rotation class.
 
     Ids must be unique and pairwise cyclically inequivalent: the decoder
     only recovers bits up to rotation, so two rotation-equivalent ids could
@@ -248,19 +248,21 @@ class LedDatabase:
     """
 
     def __init__(self, records):
-        recs = tuple(records)
-        if not recs:
+        self.records = tuple(records)
+        if not self.records:
             raise ValueError("database must contain at least one record")
-        for i, a in enumerate(recs):
-            for b in recs[i + 1 :]:
-                if a.id == b.id:
-                    raise AmbiguousMatch(f"duplicate id 0x{a.id:02X}")
-                if cyclically_equivalent(a.id, b.id):
-                    raise AmbiguousMatch(
-                        f"ids 0x{a.id:02X} and 0x{b.id:02X} are cyclic rotations "
-                        "of each other; deployment cannot distinguish them"
-                    )
-        self.records = recs
+        self.by_class = {}
+        for rec in self.records:
+            key = rotation_class(id_bits(rec.id))
+            prev = self.by_class.setdefault(key, rec)
+            if prev is rec:
+                continue
+            if prev.id == rec.id:
+                raise AmbiguousMatch(f"duplicate id 0x{rec.id:02X}")
+            raise AmbiguousMatch(
+                f"ids 0x{prev.id:02X} and 0x{rec.id:02X} are cyclic rotations "
+                "of each other; deployment cannot distinguish them"
+            )
 
     def __iter__(self):
         return iter(self.records)
@@ -290,30 +292,21 @@ class LedDatabase:
         return LedDatabase(records)
 
 
-def match_id(candidates, db) -> LedRecord:
+def match_id(candidates, db: LedDatabase) -> LedRecord:
     """Find the deployed LED whose id matches the decoded bits up to cyclic
     rotation.
 
     candidates is the sequence of 8-bit patterns that dm_decode returns;
     they are tried best-first and the first that matches a record wins.
     """
-    records = list(db)
-    if not records:
-        raise NoMatch("empty database")
     cands = [tuple(int(b) for b in c) for c in candidates]
     for cand in cands:
         if len(cand) != 8:
             raise ValueError(f"candidate must have 8 bits, got {len(cand)}")
-        rots = rotations(cand)
-        hits = [r for r in records if id_bits(r.id) in rots]
-        if len(hits) > 1:
-            raise AmbiguousMatch(
-                "multiple records share a rotation class: "
-                + ", ".join(f"0x{r.id:02X}" for r in hits)
-            )
-        if hits:
-            return hits[0]
-    raise NoMatch(f"no record matches any rotation of {cands[0]}")
+        rec = db.by_class.get(rotation_class(cand))
+        if rec is not None:
+            return rec
+    raise NoMatch(f"no record matches any rotation of {cands}")
 
 
 # LCS +z points down at the floor; WCS +z points up. The anchoring is a

@@ -21,6 +21,8 @@ from .sweep import (CLEAN_TAG, CaptureSpec, Dataset, GridSpec, SweepSpec,
 __all__ = ["StudyConfig", "run_experiment", "STUDIES"]
 
 STUDIES = ("model-selection", "sim-vs-capture", "height-generalization")
+# model kind -> the study seed its fit draws from
+_KIND_SEED_SLOT = {"forest": 2, "gbt": 3, "mlp": 4, "tree": 6}
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,27 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; pick one of {STUDIES}")
-        # build every spec a study can run on, so their checks fire here,
-        # before run_experiment creates the output directory
+        # check here what the split and the fitters would reject, and build
+        # every spec a study can run on so their checks fire too, all before
+        # run_experiment creates the output directory
+        if (self.study == "model-selection"
+                and not 1 <= self.test_per_location < self.per_location):
+            raise ValueError(
+                f"test_per_location must be in [1, per_location), got "
+                f"{self.test_per_location} of {self.per_location}")
+        if not self.model_kinds:
+            raise ValueError("model_kinds is empty")
+        for kind in self.model_kinds:
+            if kind not in _KIND_SEED_SLOT:
+                raise ValueError(f"unknown model kind {kind!r}")
+        if self.forest_trees < 1:
+            raise ValueError("forest_trees must be >= 1")
+        if self.gbt_rounds < 0 or self.gbt_depth < 0 or self.mlp_epochs < 0:
+            raise ValueError("gbt_rounds, gbt_depth and mlp_epochs must be >= 0")
+        if not self.gbt_lr > 0:
+            raise ValueError("gbt_lr must be > 0")
+        if self.mlp_batch < 1:
+            raise ValueError("mlp_batch must be >= 1")
         self.sweep_spec(self.heights_sweep_train)
         self.capture_spec(self.heights_capture, 0)
         self.capture_spec(self.heights_test, 0)
@@ -67,7 +88,8 @@ class StudyConfig:
 
     def capture_spec(self, heights: tuple[float, ...], seed: int) -> CaptureSpec:
         return CaptureSpec(heights, self.grid(), self.per_location,
-                           self.yaw_limit_deg, self.tilt_max_deg, seed)
+                           self.yaw_limit_deg, self.tilt_max_deg, seed,
+                           self.corner_jitter_px, self.pixel_sigma)
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -75,9 +97,6 @@ class StudyConfig:
             if isinstance(v, tuple):
                 d[k] = list(v)
         return d
-
-
-_KIND_SEED_SLOT = {"forest": 2, "gbt": 3, "mlp": 4, "tree": 6}
 
 
 def _fit(cfg: StudyConfig, kind: str, train: Dataset, seeds):
@@ -128,7 +147,6 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
     if cfg.study == "model-selection":
         caps = generate_capture_set(
             cfg.capture_spec(cfg.heights_capture, int(seeds[0])), intr, panel,
-            corner_jitter_px=cfg.corner_jitter_px, pixel_sigma=cfg.pixel_sigma,
             clean_reference=True)
         train, test_noisy = split(caps, cfg.test_per_location, int(seeds[1]))
         test_clean = test_noisy.with_features(test_noisy.clean_features, CLEAN_TAG)
@@ -144,8 +162,7 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
     if cfg.study == "sim-vs-capture":
         sweep = generate_sweep(cfg.sweep_spec(cfg.heights_capture), intr, panel)
         caps = generate_capture_set(
-            cfg.capture_spec(cfg.heights_capture, int(seeds[5])), intr, panel,
-            corner_jitter_px=cfg.corner_jitter_px, pixel_sigma=cfg.pixel_sigma)
+            cfg.capture_spec(cfg.heights_capture, int(seeds[5])), intr, panel)
         base = dict(echo, train_rows=len(sweep), capture_dropped=caps.dropped)
         for kind in [k for k in cfg.model_kinds if k in ("forest", "gbt")]:
             model = _fit(cfg, kind, sweep, seeds)
@@ -156,8 +173,7 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
     # height-generalization: train heights disjoint from test heights
     sweep = generate_sweep(cfg.sweep_spec(cfg.heights_sweep_train), intr, panel)
     caps = generate_capture_set(
-        cfg.capture_spec(cfg.heights_test, int(seeds[5])), intr, panel,
-        corner_jitter_px=cfg.corner_jitter_px, pixel_sigma=cfg.pixel_sigma)
+        cfg.capture_spec(cfg.heights_test, int(seeds[5])), intr, panel)
     base = dict(echo, train_rows=len(sweep), capture_dropped=caps.dropped)
     model = _fit(cfg, "gbt", sweep, seeds)
     emit("gbt", "test", evaluate(model, caps, config=dict(base, variant="test")))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InsufficientRows, MalformedCsv, VisionFailure
+from ..errors import InsufficientRows, MalformedCsv, VisionFailure, VlpError
 from ..geometry import (
     BASE_ALIGNMENT,
     Attitude,
@@ -97,6 +97,10 @@ class CaptureSpec:
     per degree of attitude spread, while grid neighbors sit only ~250 px
     apart in feature space; axis-aligned split learners stop resolving
     locations well before one degree.
+
+    Each frame gets corner jitter of corner_jitter_px (px, isotropic) and
+    pixel noise of pixel_sigma, a fraction of full scale (0.02 -> sigma of
+    5.1 gray levels).
     """
 
     heights_m: tuple[float, ...]
@@ -105,6 +109,8 @@ class CaptureSpec:
     yaw_limit_deg: float = 0.05
     tilt_max_deg: float = 0.05
     seed: int = 0
+    corner_jitter_px: float = 1.0
+    pixel_sigma: float = 0.02
 
     def __post_init__(self):
         if not self.heights_m or any(h <= 0 for h in self.heights_m):
@@ -115,6 +121,8 @@ class CaptureSpec:
             raise ValueError("yaw limit must be in [0, 45] degrees")
         if not (0 <= self.tilt_max_deg < 90):
             raise ValueError("tilt magnitude must be in [0, 90) degrees")
+        if self.corner_jitter_px < 0 or not (0 <= self.pixel_sigma <= 1):
+            raise ValueError("corner_jitter_px must be >= 0 and pixel_sigma in [0, 1]")
 
 
 class Dataset:
@@ -316,21 +324,17 @@ def _draw_attitude(rng: np.random.Generator, position: Vec3,
 
 def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None,
                          panel: LedPanel | None = None, *,
-                         corner_jitter_px: float = 1.0,
-                         pixel_sigma: float = 0.02,
                          clean_reference: bool = False) -> Dataset:
     """Render per_location random retained poses per grid location and
     height, and extract features with the vision pipeline.
 
-    pixel_sigma is a fraction of full scale (0.02 -> sigma of 5.1 gray
-    levels). Attitude draws and noise draws come from separate seed
-    streams, so a zero-noise rerun with the same spec visits identical
-    poses. Rows whose extraction raises VisionFailure are dropped and
-    counted in Dataset.dropped. clean_reference additionally extracts each
-    pose's noise-free features into Dataset.clean_features.
+    Attitude draws and noise draws come from separate seed streams, so a
+    zero-noise rerun with the same spec visits identical poses. Poses
+    behind the camera or degenerate on the sensor are redrawn. Rows whose
+    extraction raises VisionFailure are dropped and counted in
+    Dataset.dropped. clean_reference additionally extracts each pose's
+    noise-free features into Dataset.clean_features.
     """
-    if corner_jitter_px < 0 or not (0 <= pixel_sigma <= 1):
-        raise ValueError("corner_jitter_px must be >= 0 and pixel_sigma in [0, 1]")
     intr = intr or CameraIntrinsics()
     panel = panel or LedPanel()
     coords = spec.grid.coordinates()
@@ -342,7 +346,7 @@ def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None
     att_children = att_root.spawn(len(locations))
     noise_children = noise_root.spawn(len(locations))
 
-    sigma_gray = pixel_sigma * 255.0
+    sigma_gray = spec.pixel_sigma * 255.0
     feats, cleans, targets, gis, gjs, heights, atts = [], [], [], [], [], [], []
     dropped = 0
     for loc_idx, (h, i, j) in enumerate(locations):
@@ -359,14 +363,14 @@ def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None
             pose = Pose(position, att)
             try:
                 label = project_panel_corners(intr, pose, panel)
-            except Exception:
+            except VlpError:  # BehindCamera, DegenerateQuad
                 continue
             if not in_fov(label, intr):
                 continue
             accepted += 1
             frame = rasterize_panel(intr, pose, panel,
                                     base_brightness(pose, panel, intr))
-            noisy = add_capture_noise(frame, corner_jitter_px, sigma_gray,
+            noisy = add_capture_noise(frame, spec.corner_jitter_px, sigma_gray,
                                       rng_noise)
             try:
                 got = extract_corners(noisy)

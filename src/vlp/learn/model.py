@@ -1,9 +1,10 @@
 """Per-axis model bundle: one scalar regressor per target axis, assembled
 into a 3D position predictor, with versioned JSON persistence.
 
-The JSON layout ("vlp-model/1") stores trees as flat node arrays and MLP
-layers as nested lists. Floats serialize through repr, so a save/load
-round trip reproduces predictions bit-exactly.
+In the JSON layout ("vlp-model/1") each submodel is its class's fields
+by __slots__ name: trees as flat node arrays, MLP layers as nested lists.
+Floats serialize through repr, so a save/load round trip reproduces
+predictions bit-exactly.
 """
 
 from __future__ import annotations
@@ -91,52 +92,28 @@ def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
     return PositionModel(kind, submodels, seed, params)
 
 
-def _tree_doc(tree: Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
+_CLASSES = {"tree": Tree, "forest": Forest, "gbt": GbtModel, "mlp": Mlp}
 
 
-def _tree_from_doc(doc: dict) -> Tree:
-    return Tree(doc["feature"], doc["threshold"], doc["left"], doc["right"],
-                doc["value"])
+def _doc(field):
+    """A submodel as its fields by __slots__ name: arrays become lists and
+    a list of trees a list of tree documents."""
+    if isinstance(field, np.ndarray):
+        return field.tolist()
+    if isinstance(field, list):
+        return [_doc(v) for v in field]
+    if hasattr(field, "__slots__"):
+        return {name: _doc(getattr(field, name)) for name in field.__slots__}
+    return field
 
 
-def _axis_doc(kind: str, sub) -> dict:
-    if kind == "tree":
-        return _tree_doc(sub)
-    if kind == "forest":
-        return {"trees": [_tree_doc(t) for t in sub.trees]}
-    if kind == "gbt":
-        return {
-            "base_score": sub.base_score,
-            "learning_rate": sub.learning_rate,
-            "trees": [_tree_doc(t) for t in sub.trees],
-        }
-    return {
-        "weights": [w.tolist() for w in sub.weights],
-        "biases": [b.tolist() for b in sub.biases],
-        "x_mean": sub.x_mean.tolist(),
-        "x_std": sub.x_std.tolist(),
-        "y_mean": sub.y_mean,
-        "y_std": sub.y_std,
-    }
-
-
-def _axis_from_doc(kind: str, doc: dict):
-    if kind == "tree":
-        return _tree_from_doc(doc)
-    if kind == "forest":
-        return Forest([_tree_from_doc(t) for t in doc["trees"]])
-    if kind == "gbt":
-        return GbtModel(doc["base_score"], doc["learning_rate"],
-                        [_tree_from_doc(t) for t in doc["trees"]])
-    return Mlp(doc["weights"], doc["biases"], doc["x_mean"], doc["x_std"],
-               doc["y_mean"], doc["y_std"])
+def _from_doc(cls, doc: dict):
+    """cls called with its document's fields in __slots__ order; a trees
+    field holds tree documents."""
+    fields = {name: doc[name] for name in cls.__slots__}
+    if "trees" in fields:
+        fields["trees"] = [_from_doc(Tree, t) for t in fields["trees"]]
+    return cls(*fields.values())
 
 
 def save_model(model: PositionModel, path) -> None:
@@ -145,8 +122,7 @@ def save_model(model: PositionModel, path) -> None:
         "kind": model.kind,
         "seed": model.seed,
         "hyperparameters": model.hyperparameters,
-        "axes": {AXES[i]: _axis_doc(model.kind, model.submodels[i])
-                 for i in range(3)},
+        "axes": {axis: _doc(sub) for axis, sub in zip(AXES, model.submodels)},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -167,7 +143,7 @@ def load_model(path) -> PositionModel:
     if kind not in _FITTERS:
         raise MalformedModel(f"{path}: unknown model kind {kind!r}")
     try:
-        subs = [_axis_from_doc(kind, doc["axes"][a]) for a in AXES]
+        subs = [_from_doc(_CLASSES[kind], doc["axes"][a]) for a in AXES]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedModel(f"{path}: bad {kind} model: {exc!r}") from exc
     return PositionModel(kind, subs, doc.get("seed"), doc.get("hyperparameters", {}))

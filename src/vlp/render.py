@@ -282,17 +282,9 @@ def _on_time_us(w: Waveform, t_us: np.ndarray) -> np.ndarray:
     return cycles * prefix[-1] + (prefix[j] + levels[j] * (tau - j * dur))
 
 
-def row_exposure_fraction(w: Waveform, row_start_us: float, exposure_us: float) -> float:
-    """Fraction of [row_start, row_start + exposure] during which the
-    waveform is on. Exact piecewise integration."""
-    if not (exposure_us > 0):
-        raise ValueError("exposure must be positive")
-    ends = _on_time_us(w, np.array([row_start_us, row_start_us + exposure_us]))
-    return float((ends[1] - ends[0]) / exposure_us)
-
-
 def row_exposure_fractions(w: Waveform, row_starts_us: np.ndarray, exposure_us: float) -> np.ndarray:
-    """Vectorized row_exposure_fraction over an array of row start times."""
+    """Fraction of [start, start + exposure] during which the waveform is
+    on, for each row start time. Exact piecewise integration."""
     if not (exposure_us > 0):
         raise ValueError("exposure must be positive")
     starts = np.asarray(row_starts_us, dtype=np.float64)

@@ -82,25 +82,24 @@ def _padded_bbox(mask: np.ndarray, pad: int) -> tuple[slice, slice]:
             slice(max(0, cols[0] - pad), min(w, cols[-1] + pad + 1)))
 
 
-def largest_component(mask: np.ndarray) -> np.ndarray:
-    """The 8-connected component with the most pixels.
+def largest_component(mask: np.ndarray) -> tuple[np.ndarray, tuple[int, int], int]:
+    """The 8-connected component with the most pixels, as (blob, (row,
+    col), count): the component cropped to its own bounding box, the box's
+    top-left position in mask, and the component's pixel count.
 
     Ties break toward the component whose topmost-leftmost pixel comes
-    first in (row, col) order.
+    first in (row, col) order: labels number components in that order, so
+    the first maximum of the counts is that component.
     """
     box = _padded_bbox(mask, 0)
-    labels, n = ndimage.label(mask[box], structure=_EIGHT_CONNECTED)
+    labels, _ = ndimage.label(mask[box], structure=_EIGHT_CONNECTED)
     counts = np.bincount(labels.ravel())
     counts[0] = 0
-    best = int(counts.max())
-    tied = np.flatnonzero(counts == best)
-    if len(tied) > 1:
-        # (row, col) order is preserved inside a rectangular crop
-        flat = labels.ravel()
-        tied = sorted(tied, key=lambda lab: int(np.flatnonzero(flat == lab)[0]))
-    out = np.zeros(mask.shape, dtype=bool)
-    out[box] = labels == tied[0]
-    return out
+    best = int(counts.argmax())
+    component = labels == best
+    rs, cs = _padded_bbox(component, 0)
+    return (component[rs, cs], (box[0].start + rs.start, box[1].start + cs.start),
+            int(counts[best]))
 
 
 def _boundary_points(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
@@ -214,9 +213,9 @@ def _detect_corners(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
     return _fit_sides(pts, hull, hull[_widest_subset(hull)])
 
 
-def _check_quad(corners: CornerSet, component: np.ndarray) -> None:
+def _check_quad(corners: CornerSet, count: int) -> None:
     """Reject non-quad blobs: the ordered corners must form a convex
-    quadrilateral covering at least 80% and at most 110% of the component's
+    quadrilateral covering at least 80% and at most 110% of the blob's
     pixel count. Lines fitted around a curved outline enclose 22-26% more
     than its pixels on discs of radius 15-200 px; a panel's lines enclose
     at most the few percent that stripe merging notches and cuts off it."""
@@ -233,7 +232,6 @@ def _check_quad(corners: CornerSet, component: np.ndarray) -> None:
         cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         if cross * np.sign(area2) < -1e-9 * scale * scale:
             raise VisionFailure("detected corners form a non-convex quad")
-    count = int(component.sum())
     if area < 0.8 * count:
         raise VisionFailure(
             f"quad area {area:.0f} px^2 covers under 80% of the blob "
@@ -267,14 +265,11 @@ def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
     crop = mask[box]
     if merge_radius > 0:
         crop = close_mask(crop, merge_radius)
-    component = largest_component(crop)
-    # the blob is connected, so touching two opposite sensor edges spans them
+    blob, (r, c), count = largest_component(crop)
     h, w = mask.shape
-    if ((component.shape[0] == h and component[0].any() and component[-1].any())
-            or (component.shape[1] == w and component[:, 0].any()
-                and component[:, -1].any())):
+    if blob.shape[0] == h or blob.shape[1] == w:
         raise SaturatedFrame(f"blob spans the full height or width of the "
                              f"{w}x{h} sensor")
-    corners = order_corners(_detect_corners(component, (box[0].start, box[1].start)))
-    _check_quad(corners, component)
+    corners = order_corners(_detect_corners(blob, (box[0].start + r, box[1].start + c)))
+    _check_quad(corners, count)
     return corners

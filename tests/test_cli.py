@@ -165,7 +165,11 @@ def test_vlp_errors_exit_2(tmp_path, capsys):
     (b"study = model-selection\nseed = \xff\n", []),
     (b"study = model-selection\n", ["--per-location", "0"]),
     (b"study = model-selection\ngrid.spacing_m = 0.25\n", []),
-], ids=["undecodable-byte", "per-location-0", "spacing-not-dividing-extent"])
+    (b"study = model-selection\ncapture.per_location = 2\n", []),
+    (b"study = model-selection\nmodels.forest_trees = 0\n", []),
+    (b"study = model-selection\nnoise.pixel_sigma = 2\n", []),
+], ids=["undecodable-byte", "per-location-0", "spacing-not-dividing-extent",
+        "no-training-rows-left", "forest-trees-0", "pixel-sigma-2"])
 def test_malformed_study_config_exits_2_before_any_output(tmp_path, capsys,
                                                           config, extra):
     cfg = tmp_path / "study.cfg"
@@ -174,6 +178,23 @@ def test_malformed_study_config_exits_2_before_any_output(tmp_path, capsys,
     assert main(["report", "--out", str(out), "--config", str(cfg), *extra]) == 2
     assert capsys.readouterr().err.startswith("error: config key")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["capture", "--out", "c.csv", "--per-location", "0"],
+    ["simulate", "--out", "s.csv", "--step", "7"],
+    ["codec", "encode", "--id", "0x1FF"],
+    ["codec", "encode", "--id", "zz"],
+    ["train", "--data", "rows.csv", "--kind", "forest", "--trees", "0", "--out", "m.json"],
+], ids=["per-location-0", "step-7", "id-out-of-range", "id-not-a-number", "trees-0"])
+def test_bad_flag_value_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    row = ",".join(["0.1", "0.2", "1.3", "0", "0", "0", "0", "0", "1.3"]
+                   + [str(float(k)) for k in range(8)])
+    (tmp_path / "rows.csv").write_text(f"{row}\n{row.replace('0.1', '0.3', 1)}\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
 
 @pytest.mark.parametrize("argv", [

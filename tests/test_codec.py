@@ -14,13 +14,13 @@ from vlp.codec import (
     LedRecord,
     RowProfile,
     bits_value,
-    cyclically_equivalent,
     dm_decode,
     dm_encode,
     extract_row_profile,
     id_bits,
     match_id,
     rcs_to_wcs,
+    rotation_class,
     rotations,
     stripe_merge_radius,
 )
@@ -48,9 +48,9 @@ def test_rotations_and_cyclic_equivalence():
     assert rotations((0, 0, 0, 0, 0, 0, 0, 1)) == {
         tuple(int(i == k) for i in range(8)) for k in range(8)
     }
-    assert cyclically_equivalent(0x01, 0x80)
-    assert cyclically_equivalent(0x03, 0x81)  # 00000011 vs 10000001
-    assert not cyclically_equivalent(0x01, 0x03)
+    assert rotation_class(id_bits(0x80)) == id_bits(0x01)
+    assert rotation_class(id_bits(0x81)) == id_bits(0x03)  # 10000001 vs 00000011
+    assert rotation_class(id_bits(0x01)) != rotation_class(id_bits(0x03))
     assert len(rotations((0,) * 8)) == 1
 
 
@@ -155,7 +155,7 @@ def test_decode_random_ids_and_phases(intr, panel):
         phase = float(g.uniform(0.0, 800.0))
         profile = _striped_profile(intr, panel, int(led_id), phase)
         cands = dm_decode(profile, 2.5, 68.0)
-        rec = match_id(cands, [LedRecord(int(led_id), Vec3(0, 0, 2.56))])
+        rec = match_id(cands, LedDatabase([LedRecord(int(led_id), Vec3(0, 0, 2.56))]))
         assert rec.id == int(led_id)
 
 
@@ -196,9 +196,10 @@ def test_led_record_validation():
 
 
 def test_database_rejects_confusable_ids():
-    with pytest.raises(AmbiguousMatch, match="duplicate"):
-        LedDatabase([LedRecord(5, Vec3(0, 0, 2.56)), LedRecord(5, Vec3(1, 0, 2.56))])
-    with pytest.raises(AmbiguousMatch, match="rotation"):
+    with pytest.raises(AmbiguousMatch, match="duplicate id 0x05"):
+        LedDatabase([LedRecord(5, Vec3(0, 0, 2.56)), LedRecord(7, Vec3(2, 0, 2.56)),
+                     LedRecord(5, Vec3(1, 0, 2.56))])
+    with pytest.raises(AmbiguousMatch, match="ids 0x01 and 0x80 are cyclic rotations"):
         LedDatabase([LedRecord(0x01, Vec3(0, 0, 2.56)),
                      LedRecord(0x80, Vec3(1, 0, 2.56))])
     with pytest.raises(ValueError):
@@ -253,15 +254,10 @@ def test_match_id_candidates():
     assert match_id((id_bits(0x33), id_bits(0xB6)), db).id == 0xB6
     with pytest.raises(NoMatch):
         match_id([id_bits(0x33)], db)
+    with pytest.raises(NoMatch):
+        match_id([], db)
     with pytest.raises(ValueError):
         match_id([(1, 0, 1)], db)
-
-
-def test_match_id_flags_ambiguous_deployment():
-    # bypassing LedDatabase validation with a raw record list
-    rogue = [LedRecord(0x01, Vec3(0, 0, 2.56)), LedRecord(0x80, Vec3(1, 0, 2.56))]
-    with pytest.raises(AmbiguousMatch):
-        match_id([id_bits(0x01)], rogue)
 
 
 def test_rcs_to_wcs_flips_the_vertical_axis():
@@ -275,4 +271,4 @@ def test_rotation_class_membership(value, k):
     bits = id_bits(value)
     rotated = bits[k:] + bits[:k]
     assert rotated in rotations(bits)
-    assert cyclically_equivalent(value, bits_value(rotated))
+    assert rotation_class(id_bits(bits_value(rotated))) == rotation_class(bits)

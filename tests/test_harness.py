@@ -4,6 +4,7 @@ with the scalar projector; evaluation statistics against hand arithmetic."""
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from vlp.harness import (
     write_grid_svg,
     write_report,
 )
+from vlp.harness import sweep as sweep_mod
 
 
 def test_grid_spec_coordinates():
@@ -188,9 +190,9 @@ def test_dataset_subset_and_concatenate(intr, panel):
 
 
 def test_split_partitions_per_location(intr, panel):
-    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=4, seed=3)
-    ds = generate_capture_set(spec, intr, panel,
-                              corner_jitter_px=0.0, pixel_sigma=0.0)
+    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=4, seed=3,
+                       corner_jitter_px=0.0, pixel_sigma=0.0)
+    ds = generate_capture_set(spec, intr, panel)
     assert len(ds) == 16 and ds.dropped == 0
     train, test = split(ds, test_per_location=1, seed=11)
     assert len(train) == 12 and len(test) == 4
@@ -206,9 +208,9 @@ def test_split_partitions_per_location(intr, panel):
 
 
 def test_capture_zero_noise_matches_projection(intr, panel):
-    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=2, seed=5)
-    ds = generate_capture_set(spec, intr, panel,
-                              corner_jitter_px=0.0, pixel_sigma=0.0)
+    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=2, seed=5,
+                       corner_jitter_px=0.0, pixel_sigma=0.0)
+    ds = generate_capture_set(spec, intr, panel)
     assert len(ds) == 8
     for k in range(len(ds)):
         pose = Pose(Vec3.from_array(ds.targets[k]),
@@ -220,9 +222,9 @@ def test_capture_zero_noise_matches_projection(intr, panel):
 def test_capture_aims_near_the_panel(intr, panel):
     # the protocol points the boresight at the panel center before the
     # small dither, so every attitude stays within a degree of that aim
-    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=2, seed=6)
-    ds = generate_capture_set(spec, intr, panel,
-                              corner_jitter_px=0.0, pixel_sigma=0.0)
+    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=2, seed=6,
+                       corner_jitter_px=0.0, pixel_sigma=0.0)
+    ds = generate_capture_set(spec, intr, panel)
     from vlp.geometry import attitude_to_matrix
 
     for k in range(len(ds)):
@@ -235,31 +237,51 @@ def test_capture_aims_near_the_panel(intr, panel):
 
 
 def test_capture_clean_reference_and_determinism(intr, panel):
-    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=1, seed=7)
-    a = generate_capture_set(spec, intr, panel, corner_jitter_px=1.0,
-                             pixel_sigma=0.02, clean_reference=True)
-    b = generate_capture_set(spec, intr, panel, corner_jitter_px=1.0,
-                             pixel_sigma=0.02, clean_reference=True)
+    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=1, seed=7,
+                       corner_jitter_px=1.0, pixel_sigma=0.02)
+    a = generate_capture_set(spec, intr, panel, clean_reference=True)
+    b = generate_capture_set(spec, intr, panel, clean_reference=True)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.clean_features, b.clean_features)
     assert not np.array_equal(a.features, a.clean_features)
     assert set(a.source.tolist()) == {"noisy-sim"}
     # noise streams are separate: the zero-noise run visits the same poses
-    clean = generate_capture_set(spec, intr, panel,
-                                 corner_jitter_px=0.0, pixel_sigma=0.0)
+    clean = generate_capture_set(
+        replace(spec, corner_jitter_px=0.0, pixel_sigma=0.0), intr, panel)
     np.testing.assert_array_equal(clean.targets, a.targets)
     np.testing.assert_array_equal(clean.attitude, a.attitude)
     np.testing.assert_array_equal(clean.features, a.clean_features)
 
 
-def test_capture_rejects_bad_noise(intr, panel):
-    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=1, seed=0)
+def test_capture_rejects_bad_noise():
     with pytest.raises(ValueError):
-        generate_capture_set(spec, intr, panel, corner_jitter_px=-1.0,
-                             pixel_sigma=0.0)
+        CaptureSpec((1.3,), corner_jitter_px=-1.0, pixel_sigma=0.0)
     with pytest.raises(ValueError):
-        generate_capture_set(spec, intr, panel, corner_jitter_px=0.0,
-                             pixel_sigma=1.5)
+        CaptureSpec((1.3,), corner_jitter_px=0.0, pixel_sigma=1.5)
+
+
+def test_capture_redraws_only_projection_failures(intr, panel, monkeypatch):
+    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=1, seed=0,
+                       corner_jitter_px=0.0, pixel_sigma=0.0)
+    calls = []
+    real = sweep_mod.project_panel_corners
+
+    def behind_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise BehindCamera("drawn behind the camera")
+        return real(*args)
+
+    monkeypatch.setattr(sweep_mod, "project_panel_corners", behind_once)
+    assert len(generate_capture_set(spec, intr, panel)) == 4
+    assert len(calls) == 5  # the refused pose is drawn again
+
+    def broken(*args):
+        raise RuntimeError("projector bug")
+
+    monkeypatch.setattr(sweep_mod, "project_panel_corners", broken)
+    with pytest.raises(RuntimeError, match="projector bug"):
+        generate_capture_set(spec, intr, panel)
 
 
 class _Stub:
@@ -384,9 +406,30 @@ def test_config_errors_name_the_key(tmp_path):
         build_study_config({"study": "model-selection", "models.kinds": "svm"})
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"per_location": 2}, "test_per_location"),  # the default holds out 2
+    ({"per_location": 3, "test_per_location": 0}, "test_per_location"),
+    ({"model_kinds": ()}, "empty"),
+    ({"model_kinds": ("gbt", "svm")}, "unknown model kind"),
+    ({"forest_trees": 0}, "forest_trees"),
+    ({"gbt_rounds": -1}, "gbt_rounds"),
+    ({"gbt_depth": -1}, "gbt_depth"),
+    ({"gbt_lr": 0.0}, "gbt_lr"),
+    ({"mlp_epochs": -1}, "mlp_epochs"),
+    ({"mlp_batch": 0}, "mlp_batch"),
+    ({"corner_jitter_px": -0.5}, "corner_jitter_px"),
+    ({"pixel_sigma": 2.0}, "pixel_sigma"),
+])
+def test_study_config_rejects_what_a_run_would(fields, match):
+    with pytest.raises(ValueError, match=match):
+        StudyConfig(**{"study": "model-selection", **fields})
+
+
 def test_study_config_validation():
     with pytest.raises(ValueError, match="unknown study"):
         StudyConfig(study="bogus")
+    # only model-selection splits its captures
+    StudyConfig(study="sim-vs-capture", per_location=1)
     cfg = StudyConfig(study="model-selection")
     echo = cfg.echo()
     assert echo["study"] == "model-selection"

@@ -366,6 +366,38 @@ def test_position_model_save_load_bit_exact(kind, tmp_path):
     np.testing.assert_array_equal(back.predict(x), model.predict(x))
 
 
+_TREE = Tree([0, -1, -1], [1.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.25, -1.0, 2.5])
+_TREE_DOC = ('{"feature":[0,-1,-1],"left":[1,-1,-1],"right":[2,-1,-1],'
+             '"threshold":[1.5,0.0,0.0],"value":[0.25,-1.0,2.5]}')
+# kind -> (a literal submodel, its expected vlp-model/1 axis document)
+_GOLDEN = {
+    "tree": (_TREE, _TREE_DOC),
+    "forest": (Forest([_TREE, Tree([-1], [0.0], [-1], [-1], [0.75])]),
+               '{"trees":[' + _TREE_DOC + ',{"feature":[-1],"left":[-1],"right":[-1],'
+               '"threshold":[0.0],"value":[0.75]}]}'),
+    "gbt": (GbtModel(0.5, 0.1, [_TREE]),
+            '{"base_score":0.5,"learning_rate":0.1,"trees":[' + _TREE_DOC + ']}'),
+    "mlp": (Mlp([[[0.5]] * 8, [[2.0]]], [[0.0], [-1.0]], [0.0] * 8, [1.0] * 8, 1.25, 0.5),
+            '{"biases":[[0.0],[-1.0]],'
+            '"weights":[[[0.5],[0.5],[0.5],[0.5],[0.5],[0.5],[0.5],[0.5]],[[2.0]]],'
+            '"x_mean":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],'
+            '"x_std":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0],"y_mean":1.25,"y_std":0.5}'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDEN))
+def test_save_model_golden_bytes(kind, tmp_path):
+    sub, axis = _GOLDEN[kind]
+    path = tmp_path / "model.json"
+    save_model(PositionModel(kind, [sub] * 3, 7, {"k": 1}), path)
+    want = ('{"axes":{"x":' + axis + ',"y":' + axis + ',"z":' + axis + '},'
+            '"format":"vlp-model/1","hyperparameters":{"k":1},"kind":"' + kind
+            + '","seed":7}\n')
+    assert path.read_text() == want
+    save_model(load_model(path), path)
+    assert path.read_text() == want
+
+
 @pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))
 def test_position_model_rejects_bad_features(kind):
     x, y = _toy_xy(seed=54)

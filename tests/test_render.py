@@ -21,7 +21,6 @@ from vlp.render import (
     base_brightness,
     rasterize_panel,
     read_pgm,
-    row_exposure_fraction,
     row_exposure_fractions,
     write_pgm,
 )
@@ -123,27 +122,31 @@ def test_rasterize_matches_point_in_quad_oracle(intr, panel):
 
 def test_row_exposure_fraction_constant_on():
     w = Waveform((1,), 50.0)
-    for start in (0.0, 13.7, 9999.0):
-        assert row_exposure_fraction(w, start, 68.0) == pytest.approx(1.0)
+    got = row_exposure_fractions(w, np.array([0.0, 13.7, 9999.0]), 68.0)
+    np.testing.assert_allclose(got, 1.0)
 
 
 def test_row_exposure_fraction_square_wave():
     w = Waveform((1, 0), 50.0)  # ON [0, 50), OFF [50, 100)
-    assert row_exposure_fraction(w, 0.0, 25.0) == pytest.approx(1.0)
-    assert row_exposure_fraction(w, 55.0, 20.0) == pytest.approx(0.0)
-    assert row_exposure_fraction(w, 40.0, 20.0) == pytest.approx(0.5)
+    assert row_exposure_fractions(w, np.array([0.0]), 25.0)[0] == pytest.approx(1.0)
+    assert row_exposure_fractions(w, np.array([55.0]), 20.0)[0] == pytest.approx(0.0)
+    assert row_exposure_fractions(w, np.array([40.0]), 20.0)[0] == pytest.approx(0.5)
     # exposure of one full period integrates the duty cycle at any phase
-    for start in (0.0, 12.3, 50.0, 77.7):
-        assert row_exposure_fraction(w, start, 100.0) == pytest.approx(0.5)
+    got = row_exposure_fractions(w, np.array([0.0, 12.3, 50.0, 77.7]), 100.0)
+    np.testing.assert_allclose(got, 0.5)
 
 
-def test_row_exposure_fractions_matches_scalar():
+def test_row_exposure_fractions_match_sampled_integral():
     w = Waveform((1, 1, 0, 1, 0, 0), 50.0)
-    starts = np.linspace(0.0, 900.0, 181)
-    batch = row_exposure_fractions(w, starts, 68.0)
-    scalar = [row_exposure_fraction(w, float(s), 68.0) for s in starts]
-    np.testing.assert_allclose(batch, scalar, atol=1e-12)
-    assert batch.min() >= 0.0 and batch.max() <= 1.0
+    starts = np.linspace(-150.0, 900.0, 211)
+    got = row_exposure_fractions(w, starts, 68.0)
+    # midpoint rule at 0.01 us: exact except in the sample that straddles
+    # a level change, at most 2 of them in a 68 us window
+    dt = 0.01
+    t = starts[:, None] + (np.arange(6800) + 0.5) * dt
+    level = np.asarray(w.levels)[(np.floor(t / 50.0) % 6).astype(int)]
+    np.testing.assert_allclose(got, level.mean(axis=1), rtol=0, atol=2 * dt / 68.0)
+    assert got.min() >= 0.0 and got.max() <= 1.0
 
 
 def test_constant_waveform_leaves_frame_unchanged(intr, panel):

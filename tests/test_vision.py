@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import nadir_pose, rng
 from vlp.codec import dm_encode, stripe_merge_radius
@@ -88,15 +89,39 @@ def test_largest_component_size_and_tie_break():
     mask = np.zeros((30, 30), dtype=bool)
     mask[2:5, 2:5] = True       # 9 px
     mask[20:24, 20:24] = True   # 16 px
-    comp = largest_component(mask)
-    assert comp.sum() == 16 and comp[20, 20]
+    blob, origin, count = largest_component(mask)
+    assert count == 16 and origin == (20, 20)
+    assert blob.shape == (4, 4) and blob.all()
     tie = np.zeros((30, 30), dtype=bool)
     tie[1, 1] = True
     tie[9, 9] = True
-    comp = largest_component(tie)
-    assert comp[1, 1] and not comp[9, 9]
+    assert largest_component(tie)[1:] == ((1, 1), 1)
+    # the first pixel in (row, col) order wins, not the leftmost column
+    tie = np.zeros((30, 30), dtype=bool)
+    tie[5:8, 2] = True          # starts at (5, 2)
+    tie[4, 20:23] = True        # starts at (4, 20)
+    blob, origin, count = largest_component(tie)
+    assert origin == (4, 20) and blob.shape == (1, 3) and count == 3
     with pytest.raises(EmptyMask):
         largest_component(np.zeros((5, 5), dtype=bool))
+
+
+def test_largest_component_matches_sorted_tie_oracle():
+    g = np.random.default_rng(12)
+    for _ in range(300):
+        mask = g.random((12, 15)) < 0.3
+        if not mask.any():
+            continue
+        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+        sizes = np.bincount(labels.ravel())[1:]
+        tied = np.flatnonzero(sizes == sizes.max()) + 1
+        first = min(tied, key=lambda lab: int(np.flatnonzero(labels.ravel() == lab)[0]))
+        want = labels == first
+        blob, (r, c), count = largest_component(mask)
+        got = np.zeros_like(mask)
+        got[r:r + blob.shape[0], c:c + blob.shape[1]] = blob
+        np.testing.assert_array_equal(got, want)
+        assert count == int(want.sum())
 
 
 def test_detect_corners_subpixel_on_ideal_square(intr, panel):
