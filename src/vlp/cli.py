@@ -12,10 +12,10 @@ from .codec import (DEFAULT_BIT_RATE_HZ, LedDatabase, dm_decode, dm_encode,
 from .config import build_study_config, parse_config_file
 from .errors import VlpError
 from .geometry import CameraIntrinsics, LedPanel
-from .harness import (CaptureSpec, Dataset, GridSpec, SweepSpec, evaluate,
-                      generate_capture_set, generate_sweep, run_experiment,
-                      write_cdf_csv, write_grid_csv, write_report)
-from .learn import fit_position_model, load_model, save_model
+from .harness import (STUDIES, CaptureSpec, Dataset, GridSpec, SweepSpec,
+                      evaluate, generate_capture_set, generate_sweep,
+                      run_experiment, write_cdf_csv, write_grid_csv, write_report)
+from .learn import MODEL_KINDS, fit_position_model, load_model, save_model
 from .render import (apply_rolling_shutter, base_brightness, rasterize_panel,
                      read_pgm, write_pgm)
 from .vision import extract_corners
@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("train", help="fit a position model from a features CSV")
     s.add_argument("--data", required=True)
-    s.add_argument("--kind", choices=("tree", "forest", "gbt", "mlp"), default="gbt")
+    s.add_argument("--kind", choices=MODEL_KINDS, default="gbt")
     s.add_argument("--out", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--trees", type=int, default=150)
@@ -231,8 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("report", help="run a canned study and write its reports")
     s.add_argument("--out", required=True)
-    s.add_argument("--study", choices=("model-selection", "sim-vs-capture",
-                                       "height-generalization"), default=None)
+    s.add_argument("--study", choices=STUDIES, default=None)
     s.add_argument("--config", default=None, help="key=value config file")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--per-location", type=int, default=None)

@@ -12,7 +12,7 @@ from .sweep import (
 )
 from .evaluate import EvalReport, evaluate
 from .report import render_report_json, write_report, write_cdf_csv, write_grid_csv, write_grid_svg
-from .studies import StudyConfig, run_experiment
+from .studies import STUDIES, StudyConfig, run_experiment
 
 __all__ = [
     "GridSpec",
@@ -29,6 +29,7 @@ __all__ = [
     "write_cdf_csv",
     "write_grid_csv",
     "write_grid_svg",
+    "STUDIES",
     "StudyConfig",
     "run_experiment",
 ]

@@ -36,22 +36,6 @@ class EvalReport:
     dropped_rows: int = 0
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_rows": self.n_rows,
-            "mean_3d_error_cm": self.mean_3d_error_cm,
-            "p90_error_cm": self.p90_error_cm,
-            "max_error_cm": self.max_error_cm,
-            "axis_mean_cm": dict(self.axis_mean_cm),
-            "axis_p90_cm": dict(self.axis_p90_cm),
-            "cdf_3d_cm": [float(v) for v in self.cdf_3d_cm],
-            "cdf_axis_cm": {a: [float(v) for v in arr]
-                            for a, arr in self.cdf_axis_cm.items()},
-            "per_grid": [dict(g) for g in self.per_grid],
-            "dropped_rows": self.dropped_rows,
-            "config": dict(self.config),
-        }
-
 
 def evaluate(model, test: Dataset, *, config: dict | None = None) -> EvalReport:
     """Predict every test row and summarize the error distribution."""

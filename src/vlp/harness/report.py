@@ -7,6 +7,7 @@ floats serialize through repr, and nothing stamps times or hostnames.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,9 @@ __all__ = ["render_report_json", "write_report", "write_cdf_csv",
 
 
 def render_report_json(report: EvalReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    """The report's fields by name, arrays as lists."""
+    return json.dumps(dataclasses.asdict(report), sort_keys=True,
+                      separators=(",", ":"), default=np.ndarray.tolist) + "\n"
 
 
 def write_report(path, report: EvalReport) -> None:

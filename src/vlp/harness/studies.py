@@ -12,15 +12,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..geometry import CameraIntrinsics, LedPanel
-from ..learn import fit_position_model
+from ..learn import MODEL_KINDS, fit_position_model
 from .evaluate import EvalReport, evaluate
 from .report import write_cdf_csv, write_grid_csv, write_grid_svg, write_report
-from .sweep import (CLEAN_TAG, CaptureSpec, Dataset, GridSpec, SweepSpec,
+from .sweep import (CLEAN_TAG, CaptureSpec, GridSpec, SweepSpec,
                     generate_capture_set, generate_sweep, split)
 
 __all__ = ["StudyConfig", "run_experiment", "STUDIES"]
 
-STUDIES = ("model-selection", "sim-vs-capture", "height-generalization")
+# study -> the model kinds it can fit; it fits those that model_kinds lists
+_STUDY_KINDS = {
+    "model-selection": MODEL_KINDS,
+    "sim-vs-capture": ("forest", "gbt"),
+    "height-generalization": ("gbt",),
+}
+STUDIES = tuple(_STUDY_KINDS)
 # model kind -> the study seed its fit draws from
 _KIND_SEED_SLOT = {"forest": 2, "gbt": 3, "mlp": 4, "tree": 6}
 
@@ -66,8 +72,14 @@ class StudyConfig:
         if not self.model_kinds:
             raise ValueError("model_kinds is empty")
         for kind in self.model_kinds:
-            if kind not in _KIND_SEED_SLOT:
+            if kind not in MODEL_KINDS:
                 raise ValueError(f"unknown model kind {kind!r}")
+        if len(set(self.model_kinds)) < len(self.model_kinds):
+            raise ValueError(f"model_kinds {list(self.model_kinds)} repeats a kind")
+        if not self.kinds_to_fit():
+            raise ValueError(
+                f"model_kinds {list(self.model_kinds)} leaves {self.study} "
+                f"nothing to fit; it fits {list(_STUDY_KINDS[self.study])}")
         if self.forest_trees < 1:
             raise ValueError("forest_trees must be >= 1")
         if self.gbt_rounds < 0 or self.gbt_depth < 0 or self.mlp_epochs < 0:
@@ -79,6 +91,9 @@ class StudyConfig:
         self.sweep_spec(self.heights_sweep_train)
         self.capture_spec(self.heights_capture, 0)
         self.capture_spec(self.heights_test, 0)
+
+    def kinds_to_fit(self) -> list[str]:
+        return [k for k in self.model_kinds if k in _STUDY_KINDS[self.study]]
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_extent_m, self.grid_spacing_m)
@@ -99,30 +114,6 @@ class StudyConfig:
         return d
 
 
-def _fit(cfg: StudyConfig, kind: str, train: Dataset, seeds):
-    params = {}
-    if kind == "forest":
-        params["n_trees"] = cfg.forest_trees
-    elif kind == "gbt":
-        params["rounds"] = cfg.gbt_rounds
-        params["max_depth"] = cfg.gbt_depth
-        params["learning_rate"] = cfg.gbt_lr
-    elif kind == "mlp":
-        params["epochs"] = cfg.mlp_epochs
-        params["batch_size"] = cfg.mlp_batch
-    return fit_position_model(train.features, train.targets, kind,
-                              seed=int(seeds[_KIND_SEED_SLOT[kind]]), **params)
-
-
-def _emit(out_dir: str, slug: str, report: EvalReport) -> None:
-    write_report(os.path.join(out_dir, f"report_{slug}.json"), report)
-    write_cdf_csv(os.path.join(out_dir, f"cdf3d_{slug}.csv"), report.cdf_3d_cm)
-    write_grid_csv(os.path.join(out_dir, f"grid_{slug}.csv"), report.per_grid)
-    for h in sorted({g["height_m"] for g in report.per_grid}):
-        write_grid_svg(os.path.join(out_dir, f"heat_{slug}_h{h!r}.svg"),
-                       report.per_grid, h)
-
-
 def run_experiment(cfg: StudyConfig, out_dir: str,
                    intr: CameraIntrinsics | None = None,
                    panel: LedPanel | None = None) -> dict[str, EvalReport]:
@@ -130,55 +121,51 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
 
     Returns the reports keyed "kind/variant". Variants: test-clean and
     test-noisy for model-selection (held-out captures with and without
-    noise on the evaluated features), test-capture for the train-on-sim
-    studies, plus per-height slices for height-generalization.
+    noise on the evaluated features), test-capture for sim-vs-capture,
+    and test plus its test-h<height> slices for height-generalization.
     """
     intr = intr or CameraIntrinsics()
     panel = panel or LedPanel()
     os.makedirs(out_dir, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(8, np.uint64)
-    echo = cfg.echo()
-    reports: dict[str, EvalReport] = {}
-
-    def emit(kind: str, variant: str, report: EvalReport) -> None:
-        reports[f"{kind}/{variant}"] = report
-        _emit(out_dir, f"{cfg.study}_{kind}_{variant}", report)
-
+    # each study builds its training set, its test sets keyed by variant,
+    # and the capture set whose dropped rows the reports count
     if cfg.study == "model-selection":
         caps = generate_capture_set(
             cfg.capture_spec(cfg.heights_capture, int(seeds[0])), intr, panel,
             clean_reference=True)
-        train, test_noisy = split(caps, cfg.test_per_location, int(seeds[1]))
-        test_clean = test_noisy.with_features(test_noisy.clean_features, CLEAN_TAG)
-        base = dict(echo, train_rows=len(train), capture_dropped=caps.dropped)
-        for kind in cfg.model_kinds:
-            model = _fit(cfg, kind, train, seeds)
-            emit(kind, "test-clean",
-                 evaluate(model, test_clean, config=dict(base, variant="test-clean")))
-            emit(kind, "test-noisy",
-                 evaluate(model, test_noisy, config=dict(base, variant="test-noisy")))
-        return reports
-
-    if cfg.study == "sim-vs-capture":
-        sweep = generate_sweep(cfg.sweep_spec(cfg.heights_capture), intr, panel)
+        train, noisy = split(caps, cfg.test_per_location, int(seeds[1]))
+        tests = {"test-clean": noisy.with_features(noisy.clean_features, CLEAN_TAG),
+                 "test-noisy": noisy}
+    elif cfg.study == "sim-vs-capture":
+        train = generate_sweep(cfg.sweep_spec(cfg.heights_capture), intr, panel)
         caps = generate_capture_set(
             cfg.capture_spec(cfg.heights_capture, int(seeds[5])), intr, panel)
-        base = dict(echo, train_rows=len(sweep), capture_dropped=caps.dropped)
-        for kind in [k for k in cfg.model_kinds if k in ("forest", "gbt")]:
-            model = _fit(cfg, kind, sweep, seeds)
-            emit(kind, "test-capture",
-                 evaluate(model, caps, config=dict(base, variant="test-capture")))
-        return reports
-
-    # height-generalization: train heights disjoint from test heights
-    sweep = generate_sweep(cfg.sweep_spec(cfg.heights_sweep_train), intr, panel)
-    caps = generate_capture_set(
-        cfg.capture_spec(cfg.heights_test, int(seeds[5])), intr, panel)
-    base = dict(echo, train_rows=len(sweep), capture_dropped=caps.dropped)
-    model = _fit(cfg, "gbt", sweep, seeds)
-    emit("gbt", "test", evaluate(model, caps, config=dict(base, variant="test")))
-    for h in cfg.heights_test:
-        sub = caps.subset(caps.height_m == float(h))
-        emit("gbt", f"test-h{h!r}",
-             evaluate(model, sub, config=dict(base, variant=f"test-h{h!r}")))
+        tests = {"test-capture": caps}
+    else:  # height-generalization: train heights disjoint from test heights
+        train = generate_sweep(cfg.sweep_spec(cfg.heights_sweep_train), intr, panel)
+        caps = generate_capture_set(
+            cfg.capture_spec(cfg.heights_test, int(seeds[5])), intr, panel)
+        tests = {"test": caps}
+        for h in cfg.heights_test:
+            tests[f"test-h{h!r}"] = caps.subset(caps.height_m == float(h))
+    base = dict(cfg.echo(), train_rows=len(train), capture_dropped=caps.dropped)
+    params = {"tree": {}, "forest": {"n_trees": cfg.forest_trees},
+              "gbt": {"rounds": cfg.gbt_rounds, "max_depth": cfg.gbt_depth,
+                      "learning_rate": cfg.gbt_lr},
+              "mlp": {"epochs": cfg.mlp_epochs, "batch_size": cfg.mlp_batch}}
+    reports: dict[str, EvalReport] = {}
+    for kind in cfg.kinds_to_fit():
+        model = fit_position_model(train.features, train.targets, kind,
+                                   seed=int(seeds[_KIND_SEED_SLOT[kind]]), **params[kind])
+        for variant, test in tests.items():
+            report = evaluate(model, test, config=dict(base, variant=variant))
+            reports[f"{kind}/{variant}"] = report
+            name = f"{cfg.study}_{kind}_{variant}"
+            write_report(os.path.join(out_dir, f"report_{name}.json"), report)
+            write_cdf_csv(os.path.join(out_dir, f"cdf3d_{name}.csv"), report.cdf_3d_cm)
+            write_grid_csv(os.path.join(out_dir, f"grid_{name}.csv"), report.per_grid)
+            for h in sorted({g["height_m"] for g in report.per_grid}):
+                write_grid_svg(os.path.join(out_dir, f"heat_{name}_h{h!r}.svg"),
+                               report.per_grid, h)
     return reports

@@ -126,13 +126,14 @@ class CaptureSpec:
 
 
 class Dataset:
-    """Column-array dataset of (features, target, pose, provenance) rows."""
+    """Column-array dataset of (features, target, pose) rows, plus the one
+    source tag (e.g. clean-sim, noisy-sim) that every row shares."""
 
     __slots__ = ("features", "targets", "grid_i", "grid_j", "height_m",
                  "attitude", "source", "dropped", "clean_features")
 
     def __init__(self, features, targets, grid_i, grid_j, height_m, attitude,
-                 source, dropped: int = 0, clean_features=None):
+                 source: str, dropped: int = 0, clean_features=None):
         self.features = np.asarray(features, dtype=np.float64).reshape(-1, 8)
         n = self.features.shape[0]
         self.targets = np.asarray(targets, dtype=np.float64).reshape(n, 3)
@@ -140,7 +141,7 @@ class Dataset:
         self.grid_j = np.asarray(grid_j, dtype=np.int64).reshape(n)
         self.height_m = np.asarray(height_m, dtype=np.float64).reshape(n)
         self.attitude = np.asarray(attitude, dtype=np.float64).reshape(n, 3)
-        self.source = np.asarray(source, dtype="U9").reshape(n)
+        self.source = source
         self.dropped = int(dropped)
         if clean_features is None:
             self.clean_features = None
@@ -158,21 +159,22 @@ class Dataset:
         return Dataset(
             self.features[mask], self.targets[mask], self.grid_i[mask],
             self.grid_j[mask], self.height_m[mask], self.attitude[mask],
-            self.source[mask], 0,
+            self.source, 0,
             None if self.clean_features is None else self.clean_features[mask],
         )
 
     def with_features(self, features, source_tag: str) -> "Dataset":
         """Same rows, different feature matrix (e.g. the clean reference)."""
-        n = len(self)
         return Dataset(features, self.targets, self.grid_i, self.grid_j,
-                       self.height_m, self.attitude, np.full(n, source_tag),
-                       self.dropped, None)
+                       self.height_m, self.attitude, source_tag, self.dropped, None)
 
     @staticmethod
     def concatenate(parts: list["Dataset"]) -> "Dataset":
         if not parts:
             raise ValueError("nothing to concatenate")
+        tags = {p.source for p in parts}
+        if len(tags) > 1:
+            raise ValueError(f"cannot concatenate different sources {sorted(tags)}")
         has_clean = all(p.clean_features is not None for p in parts)
         return Dataset(
             np.concatenate([p.features for p in parts]),
@@ -181,7 +183,7 @@ class Dataset:
             np.concatenate([p.grid_j for p in parts]),
             np.concatenate([p.height_m for p in parts]),
             np.concatenate([p.attitude for p in parts]),
-            np.concatenate([p.source for p in parts]),
+            parts[0].source,
             sum(p.dropped for p in parts),
             np.concatenate([p.clean_features for p in parts]) if has_clean else None,
         )
@@ -196,10 +198,8 @@ class Dataset:
                   "u1,v1,u2,v2,u3,v3,u4,v4")
 
     def to_csv(self, path) -> None:
-        tags = set(self.source.tolist())
         with open(path, "w", encoding="utf-8") as fh:
-            if len(tags) == 1:
-                fh.write(f"# source={next(iter(tags))}\n")
+            fh.write(f"# source={self.source}\n")
             fh.write(self.CSV_HEADER + "\n")
             for k in range(len(self)):
                 t = self.targets[k]
@@ -237,10 +237,8 @@ class Dataset:
         arr = np.asarray(rows, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise MalformedCsv(f"{path}: non-finite entries")
-        n = arr.shape[0]
         return Dataset(arr[:, 9:17], arr[:, 0:3], arr[:, 6].astype(np.int64),
-                       arr[:, 7].astype(np.int64), arr[:, 8], arr[:, 3:6],
-                       np.full(n, tag))
+                       arr[:, 7].astype(np.int64), arr[:, 8], arr[:, 3:6], tag)
 
 
 def generate_sweep(spec: SweepSpec, intr: CameraIntrinsics | None = None,
@@ -273,8 +271,6 @@ def generate_sweep(spec: SweepSpec, intr: CameraIntrinsics | None = None,
         rot_all = np.tile(rotations, (n_grid, 1, 1))
         uv, valid = batch_project_points(intr, positions, rot_all, corners)
         keep = np.flatnonzero(valid & on_sensor(uv, intr))
-        if keep.size == 0:
-            continue
         uvk = uv[keep]
         order = canonical_order(uvk)
         ordered = np.take_along_axis(uvk, order[..., None], axis=1)
@@ -287,11 +283,8 @@ def generate_sweep(spec: SweepSpec, intr: CameraIntrinsics | None = None,
             np.repeat(gj, n_att)[keep],
             np.full(keep.size, float(h)),
             att_list[keep % n_att],
-            np.full(keep.size, CLEAN_TAG),
+            CLEAN_TAG,
         ))
-    if not parts:
-        return Dataset(np.empty((0, 8)), np.empty((0, 3)), [], [], [],
-                       np.empty((0, 3)), np.empty(0, dtype="U9"))
     return Dataset.concatenate(parts)
 
 
@@ -390,7 +383,7 @@ def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None
     return Dataset(
         np.array(feats).reshape(n, 8), np.array(targets).reshape(n, 3),
         gis, gjs, heights, np.array(atts).reshape(n, 3),
-        np.full(n, NOISY_TAG), dropped,
+        NOISY_TAG, dropped,
         np.array(cleans).reshape(n, 8) if clean_reference else None,
     )
 

@@ -7,6 +7,7 @@ from .forest import Forest, fit_forest
 from .gbt import GbtModel, fit_gbt
 from .mlp import Mlp, fit_mlp, loss_and_grads
 from .model import (
+    MODEL_KINDS,
     PositionModel,
     fit_position_model,
     save_model,
@@ -23,6 +24,7 @@ __all__ = [
     "Mlp",
     "fit_mlp",
     "loss_and_grads",
+    "MODEL_KINDS",
     "PositionModel",
     "fit_position_model",
     "save_model",

@@ -18,19 +18,21 @@ from .forest import Forest, fit_forest
 from .gbt import GbtModel, fit_gbt
 from .mlp import Mlp, fit_mlp
 
-__all__ = ["PositionModel", "fit_position_model", "save_model", "load_model"]
+__all__ = ["MODEL_KINDS", "PositionModel", "fit_position_model", "save_model",
+           "load_model"]
 
 FORMAT_TAG = "vlp-model/1"
 AXES = ("x", "y", "z")
 N_FEATURES = 8  # (u, v) pixel coordinates of the four panel corners
 
-_FITTERS = {
-    "tree": fit_tree,
-    "forest": fit_forest,
-    "gbt": fit_gbt,
-    "mlp": fit_mlp,
+# kind -> (submodel class, fitter, whether the fitter draws random numbers)
+_KINDS = {
+    "tree": (Tree, fit_tree, False),
+    "forest": (Forest, fit_forest, True),
+    "gbt": (GbtModel, fit_gbt, False),
+    "mlp": (Mlp, fit_mlp, True),
 }
-_SEEDED = ("forest", "mlp")  # the fitters that draw random numbers
+MODEL_KINDS = tuple(_KINDS)
 
 
 class PositionModel:
@@ -39,7 +41,7 @@ class PositionModel:
     __slots__ = ("kind", "submodels", "seed", "hyperparameters")
 
     def __init__(self, kind: str, submodels, seed, hyperparameters: dict):
-        if kind not in _FITTERS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         if len(submodels) != 3:
             raise ValueError("need exactly 3 submodels (x, y, z)")
@@ -74,9 +76,9 @@ def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
     draws a fresh root seed, which is recorded on the model so the fit
     stays reproducible after the fact.
     """
-    fitter = _FITTERS.get(kind)
-    if fitter is None:
+    if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    _, fitter, seeded = _KINDS[kind]
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     _check_features(x)
@@ -87,12 +89,9 @@ def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
     axis_seeds = np.random.SeedSequence(seed).generate_state(3, np.uint64)
     submodels = []
     for axis in range(3):
-        seeded = {"seed": int(axis_seeds[axis])} if kind in _SEEDED else {}
-        submodels.append(fitter(x, y[:, axis], **seeded, **params))
+        axis_seed = {"seed": int(axis_seeds[axis])} if seeded else {}
+        submodels.append(fitter(x, y[:, axis], **axis_seed, **params))
     return PositionModel(kind, submodels, seed, params)
-
-
-_CLASSES = {"tree": Tree, "forest": Forest, "gbt": GbtModel, "mlp": Mlp}
 
 
 def _doc(field):
@@ -140,10 +139,10 @@ def load_model(path) -> PositionModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise MalformedModel(f"{path}: not a {FORMAT_TAG} document")
     kind = doc.get("kind")
-    if kind not in _FITTERS:
+    if kind not in _KINDS:
         raise MalformedModel(f"{path}: unknown model kind {kind!r}")
     try:
-        subs = [_from_doc(_CLASSES[kind], doc["axes"][a]) for a in AXES]
+        subs = [_from_doc(_KINDS[kind][0], doc["axes"][a]) for a in AXES]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedModel(f"{path}: bad {kind} model: {exc!r}") from exc
     return PositionModel(kind, subs, doc.get("seed"), doc.get("hyperparameters", {}))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,11 +41,16 @@ BRIGHTNESS_K = SATURATION_MARGIN * _ANCHOR_D_M**2 / (
 
 @dataclass(frozen=True)
 class FrameMeta:
-    """Capture settings a frame was generated with."""
+    """Capture settings a frame was generated with, each finite and positive."""
 
     exposure_us: float = 68.0
     row_readout_us: float = 2.5
     iso_gain: float = 100.0
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,8 @@ def write_pgm(frame: Frame, path) -> None:
 def read_pgm(path) -> Frame:
     """Read a binary PGM written by write_pgm (or any 8-bit P5 file).
 
-    Meta comes from the comment line when present, else defaults.
+    Meta comes from the comment line when present, else defaults. Raises
+    MalformedFrame on a bad header, raster or meta value.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -136,8 +142,8 @@ def read_pgm(path) -> Frame:
         raise MalformedFrame(f"{path}: not a binary PGM (P5) file")
     meta_kv = {}
     pos = 2
-    fields = []
-    while len(fields) < 3:
+    tokens = []
+    while len(tokens) < 3:
         # token scanner that understands '#' comments
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
@@ -148,27 +154,27 @@ def read_pgm(path) -> Frame:
             end = len(data) if end < 0 else end
             comment = data[pos + 1 : end].decode("ascii", "replace")
             for key, val in re.findall(r"(\w+)=([-+0-9.eE]+)", comment):
-                meta_kv[key] = float(val)
+                meta_kv[key] = val
             pos = end + 1
             continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(data[start:pos])
-    if not all(f.isdigit() for f in fields):
+        tokens.append(data[start:pos])
+    if not all(t.isdigit() for t in tokens):
         raise MalformedFrame(f"{path}: non-numeric PGM header field")
-    width, height, maxval = (int(f) for f in fields)
+    width, height, maxval = (int(t) for t in tokens)
     if maxval != 255:
         raise MalformedFrame(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise MalformedFrame(f"{path}: raster size mismatch")
-    meta = FrameMeta(
-        exposure_us=meta_kv.get("exposure_us", 68.0),
-        row_readout_us=meta_kv.get("row_readout_us", 2.5),
-        iso_gain=meta_kv.get("iso_gain", 100.0),
-    )
+    try:
+        meta = FrameMeta(**{f.name: float(meta_kv[f.name])
+                            for f in fields(FrameMeta) if f.name in meta_kv})
+    except ValueError as exc:
+        raise MalformedFrame(f"{path}: bad capture meta: {exc}") from None
     px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     return Frame(px, meta)
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from vlp.cli import main
-from vlp.render import Frame, FrameMeta, write_pgm
+from vlp.errors import MalformedFrame
+from vlp.render import Frame, FrameMeta, read_pgm, write_pgm
 
 
 def test_capture_train_eval_flow(tmp_path, capsys):
@@ -161,6 +162,20 @@ def test_vlp_errors_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "invalid literal" in err
 
 
+@pytest.mark.parametrize("meta", ["row_readout_us=0.0", "row_readout_us=e"],
+                         ids=["zero-readout", "unparsable-readout"])
+def test_bad_frame_meta_is_a_malformed_frame(tmp_path, capsys, meta):
+    pgm = tmp_path / "bad.pgm"
+    pgm.write_bytes(b"P5\n# exposure_us=68.0 " + meta.encode() + b"\n4 3\n255\n"
+                    + bytes(12))
+    with pytest.raises(MalformedFrame, match="capture meta"):
+        read_pgm(pgm)
+    for argv in (["codec", "decode", "--frame", str(pgm)],
+                 ["extract", "--frame", str(pgm), "--striped"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("config, extra", [
     (b"study = model-selection\nseed = \xff\n", []),
     (b"study = model-selection\n", ["--per-location", "0"]),
@@ -168,8 +183,12 @@ def test_vlp_errors_exit_2(tmp_path, capsys):
     (b"study = model-selection\ncapture.per_location = 2\n", []),
     (b"study = model-selection\nmodels.forest_trees = 0\n", []),
     (b"study = model-selection\nnoise.pixel_sigma = 2\n", []),
+    # a small study, so that a run that wrongly starts ends quickly
+    (b"study = sim-vs-capture\nmodels.kinds = mlp\ngrid.extent_m = 0.4\n"
+     b"grid.spacing_m = 0.4\ncapture.per_location = 1\nsweep.angle_step_deg = 90\n", []),
 ], ids=["undecodable-byte", "per-location-0", "spacing-not-dividing-extent",
-        "no-training-rows-left", "forest-trees-0", "pixel-sigma-2"])
+        "no-training-rows-left", "forest-trees-0", "pixel-sigma-2",
+        "sim-vs-capture-fits-nothing"])
 def test_malformed_study_config_exits_2_before_any_output(tmp_path, capsys,
                                                           config, extra):
     cfg = tmp_path / "study.cfg"

@@ -40,7 +40,9 @@ from vlp.harness import (
     write_grid_svg,
     write_report,
 )
+from vlp.harness import studies as studies_mod
 from vlp.harness import sweep as sweep_mod
+from vlp.learn import MODEL_KINDS
 
 
 def test_grid_spec_coordinates():
@@ -112,7 +114,7 @@ def test_sweep_matches_naive_enumeration(intr, panel, spec):
         np.testing.assert_array_equal(ds.features[k], feats)
         got_keys.add(key)
     assert got_keys == set(want)
-    assert set(ds.source.tolist()) == {"clean-sim"}
+    assert ds.source == "clean-sim"
 
 
 def test_sweep_keeps_nadir_center_poses(intr, panel):
@@ -134,9 +136,9 @@ def test_sweep_empty_when_panel_unreachable(intr, panel):
 def test_dataset_validation_and_len():
     with pytest.raises(ValueError):
         Dataset(np.full((1, 8), np.nan), np.zeros((1, 3)), [0], [0], [1.3],
-                np.zeros((1, 3)), ["clean-sim"])
+                np.zeros((1, 3)), "clean-sim")
     ds = Dataset(np.zeros((2, 8)), np.zeros((2, 3)), [0, 1], [0, 0],
-                 [1.3, 1.3], np.zeros((2, 3)), ["clean-sim"] * 2)
+                 [1.3, 1.3], np.zeros((2, 3)), "clean-sim")
     assert len(ds) == 2
 
 
@@ -152,7 +154,36 @@ def test_dataset_csv_round_trip(tmp_path, intr, panel):
     np.testing.assert_array_equal(back.grid_j, ds.grid_j)
     np.testing.assert_array_equal(back.height_m, ds.height_m)
     np.testing.assert_array_equal(back.attitude, ds.attitude)
-    assert set(back.source.tolist()) == set(ds.source.tolist())
+    assert back.source == ds.source == "clean-sim"
+
+
+def test_dataset_csv_keeps_a_long_source_tag(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("# source=phone-capture\n" + Dataset.CSV_HEADER + "\n"
+                    + ",".join(["0.5"] * 6 + ["1", "2", "1.3"] + ["0.5"] * 8) + "\n")
+    ds = Dataset.from_csv(path)
+    assert ds.source == "phone-capture"
+    again = tmp_path / "again.csv"
+    ds.to_csv(again)
+    assert again.read_text() == path.read_text()
+
+
+def test_dataset_concatenate_one_source():
+    def rows(n, tag):
+        return Dataset(np.zeros((n, 8)), np.zeros((n, 3)), [0] * n, [0] * n,
+                       [1.3] * n, np.zeros((n, 3)), tag, dropped=1)
+
+    both = Dataset.concatenate([rows(0, "clean-sim"), rows(2, "clean-sim")])
+    assert (len(both), both.source, both.dropped) == (2, "clean-sim", 2)
+    with pytest.raises(ValueError, match="different sources"):
+        Dataset.concatenate([rows(1, "clean-sim"), rows(1, "noisy-sim")])
+
+
+def test_dataset_to_csv_tags_an_empty_dataset(tmp_path):
+    path = tmp_path / "empty.csv"
+    Dataset(np.empty((0, 8)), np.empty((0, 3)), [], [], [], np.empty((0, 3)),
+            "noisy-sim").to_csv(path)
+    assert path.read_text() == "# source=noisy-sim\n" + Dataset.CSV_HEADER + "\n"
 
 
 def test_dataset_from_csv_rejects_garbage(tmp_path):
@@ -244,7 +275,7 @@ def test_capture_clean_reference_and_determinism(intr, panel):
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.clean_features, b.clean_features)
     assert not np.array_equal(a.features, a.clean_features)
-    assert set(a.source.tolist()) == {"noisy-sim"}
+    assert a.source == "noisy-sim"
     # noise streams are separate: the zero-noise run visits the same poses
     clean = generate_capture_set(
         replace(spec, corner_jitter_px=0.0, pixel_sigma=0.0), intr, panel)
@@ -295,7 +326,7 @@ class _Stub:
 def _toy_test_set():
     targets = np.tile([0.2, -0.2, 1.3], (4, 1))
     return Dataset(np.zeros((4, 8)), targets, [0, 0, 1, 1], [0, 0, 0, 0],
-                   [1.3] * 4, np.zeros((4, 3)), ["noisy-sim"] * 4)
+                   [1.3] * 4, np.zeros((4, 3)), "noisy-sim")
 
 
 def test_evaluate_statistics_by_hand():
@@ -323,9 +354,37 @@ def test_evaluate_statistics_by_hand():
 
 def test_evaluate_rejects_empty_test_set():
     empty = Dataset(np.empty((0, 8)), np.empty((0, 3)), [], [], [],
-                    np.empty((0, 3)), np.empty(0, dtype="U9"))
+                    np.empty((0, 3)), "noisy-sim")
     with pytest.raises(EmptyTestSet):
         evaluate(_Stub(np.zeros((1, 3))), empty)
+
+
+def test_report_json_golden_bytes():
+    rep = EvalReport(
+        n_rows=3, mean_3d_error_cm=0.1 + 0.2, p90_error_cm=2.5, max_error_cm=12.0,
+        axis_mean_cm={"x": 1.5, "y": 2.0, "z": 1e-17},
+        axis_p90_cm={"x": 3.0, "y": 4.0, "z": 0.0},
+        cdf_3d_cm=np.array([0.5, 2.5, 12.0]),
+        cdf_axis_cm={"x": np.array([0.0, 1.5, 3.0]), "y": np.array([0.0, 2.0, 4.0]),
+                     "z": np.zeros(3)},
+        per_grid=[{"height_m": 1.3, "grid_i": 0, "grid_j": 1, "mean_error_cm": 1.5,
+                   "count": 2},
+                  {"height_m": 1.66, "grid_i": 1, "grid_j": 0, "mean_error_cm": 12.0,
+                   "count": 1}],
+        dropped_rows=4,
+        config={"study": "model-selection", "heights_capture": [1.3, 1.66],
+                "variant": "test-noisy"})
+    assert render_report_json(rep) == (
+        '{"axis_mean_cm":{"x":1.5,"y":2.0,"z":1e-17},'
+        '"axis_p90_cm":{"x":3.0,"y":4.0,"z":0.0},'
+        '"cdf_3d_cm":[0.5,2.5,12.0],'
+        '"cdf_axis_cm":{"x":[0.0,1.5,3.0],"y":[0.0,2.0,4.0],"z":[0.0,0.0,0.0]},'
+        '"config":{"heights_capture":[1.3,1.66],"study":"model-selection",'
+        '"variant":"test-noisy"},'
+        '"dropped_rows":4,"max_error_cm":12.0,"mean_3d_error_cm":0.30000000000000004,'
+        '"n_rows":3,"p90_error_cm":2.5,'
+        '"per_grid":[{"count":2,"grid_i":0,"grid_j":1,"height_m":1.3,"mean_error_cm":1.5},'
+        '{"count":1,"grid_i":1,"grid_j":0,"height_m":1.66,"mean_error_cm":12.0}]}\n')
 
 
 def test_report_emission_is_byte_stable(tmp_path):
@@ -419,10 +478,22 @@ def test_config_errors_name_the_key(tmp_path):
     ({"mlp_batch": 0}, "mlp_batch"),
     ({"corner_jitter_px": -0.5}, "corner_jitter_px"),
     ({"pixel_sigma": 2.0}, "pixel_sigma"),
+    ({"study": "sim-vs-capture", "model_kinds": ("mlp",)}, "nothing to fit"),
+    ({"study": "height-generalization", "model_kinds": ("forest", "mlp")},
+     "nothing to fit"),
+    ({"study": "height-generalization", "model_kinds": ("gbt", "gbt")}, "repeats"),
 ])
 def test_study_config_rejects_what_a_run_would(fields, match):
     with pytest.raises(ValueError, match=match):
         StudyConfig(**{"study": "model-selection", **fields})
+
+
+def test_every_model_kind_has_its_own_seed_slot():
+    slots = studies_mod._KIND_SEED_SLOT
+    assert set(slots) == set(MODEL_KINDS)
+    # distinct from each other and from the capture (0, 5) and split (1) seeds
+    assert len(set(slots.values())) == len(slots)
+    assert not set(slots.values()) & {0, 1, 5}
 
 
 def test_study_config_validation():
@@ -458,18 +529,38 @@ def test_run_experiment_model_selection_micro(tmp_path, intr, panel):
     assert reports["tree/test-clean"].mean_3d_error_cm < 45.0
 
 
-def test_run_experiment_is_deterministic(tmp_path, intr, panel):
-    cfg = StudyConfig(
-        study="height-generalization", seed=5, grid_extent_m=0.4,
-        grid_spacing_m=0.2, angle_step_deg=90, per_location=2,
-        heights_sweep_train=(1.56,), heights_test=(1.3,),
-        model_kinds=("gbt",), gbt_rounds=8, gbt_depth=4,
-    )
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    run_experiment(cfg, str(out_a), intr, panel)
-    run_experiment(cfg, str(out_b), intr, panel)
-    names = sorted(f.name for f in out_a.iterdir())
-    assert names == sorted(f.name for f in out_b.iterdir())
+_MICRO = dict(seed=3, grid_extent_m=0.4, grid_spacing_m=0.4, angle_step_deg=90,
+              per_location=2, test_per_location=1, heights_capture=(1.3,),
+              heights_sweep_train=(1.56,), heights_test=(1.23, 1.6),
+              model_kinds=("tree", "forest", "gbt"), forest_trees=3, gbt_rounds=4,
+              gbt_depth=3)
+
+
+@pytest.mark.parametrize("study, heights", [
+    ("model-selection", {f"{k}/{v}": (1.3,) for k in ("tree", "forest", "gbt")
+                         for v in ("test-clean", "test-noisy")}),
+    ("sim-vs-capture", {"forest/test-capture": (1.3,), "gbt/test-capture": (1.3,)}),
+    ("height-generalization", {"gbt/test": (1.23, 1.6), "gbt/test-h1.23": (1.23,),
+                               "gbt/test-h1.6": (1.6,)}),
+], ids=["model-selection", "sim-vs-capture", "height-generalization"])
+def test_run_experiment_every_study_micro(tmp_path, intr, panel, study, heights):
+    """Each study's report keys, in order, and the files it writes; a rerun
+    writes the same bytes."""
+    cfg = StudyConfig(study=study, **_MICRO)
+    reports = run_experiment(cfg, str(tmp_path / "a"), intr, panel)
+    run_experiment(cfg, str(tmp_path / "b"), intr, panel)
+    assert list(reports) == list(heights)
+    want = set()
+    for key, hs in heights.items():
+        name = f"{study}_{key.replace('/', '_')}"
+        want |= {f"report_{name}.json", f"cdf3d_{name}.csv", f"grid_{name}.csv"}
+        want |= {f"heat_{name}_h{h!r}.svg" for h in hs}
+        rep = reports[key]
+        assert rep.config["variant"] == key.split("/")[1]
+        # only a whole capture set carries its dropped rows; a subset has none
+        whole = key.endswith(("/test", "/test-capture"))
+        assert rep.dropped_rows == (rep.config["capture_dropped"] if whole else 0)
+    names = {f.name for f in (tmp_path / "a").iterdir()}
+    assert names == want
     for name in names:
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

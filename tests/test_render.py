@@ -31,6 +31,15 @@ def test_frame_meta_defaults():
     assert (m.exposure_us, m.row_readout_us, m.iso_gain) == (68.0, 2.5, 100.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("exposure_us", 0.0), ("row_readout_us", -2.5), ("iso_gain", float("nan")),
+    ("row_readout_us", float("inf")),
+])
+def test_frame_meta_rejects_non_finite_and_non_positive(field, value):
+    with pytest.raises(ValueError, match=field):
+        FrameMeta(**{field: value})
+
+
 def test_waveform_validation_and_properties():
     w = Waveform((1, 0, 1, 1), 50.0)
     assert w.period_us == 200.0
