@@ -4,6 +4,7 @@ training and evaluation, waveform encode/decode, and the canned studies."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -11,11 +12,12 @@ from .codec import (DEFAULT_BIT_RATE_HZ, LedDatabase, dm_decode, dm_encode,
                     extract_row_profile, match_id, stripe_merge_radius)
 from .config import build_study_config, parse_config_file
 from .errors import VlpError
-from .geometry import CameraIntrinsics, LedPanel
-from .harness import (STUDIES, CaptureSpec, Dataset, GridSpec, SweepSpec,
-                      evaluate, generate_capture_set, generate_sweep,
+from .geometry import Attitude, CameraIntrinsics, LedPanel, Pose, Vec3
+from .harness import (STUDIES, CaptureSpec, Dataset, GridSpec, StudyConfig,
+                      SweepSpec, evaluate, generate_capture_set, generate_sweep,
                       run_experiment, write_cdf_csv, write_grid_csv, write_report)
-from .learn import MODEL_KINDS, fit_position_model, load_model, save_model
+from .learn import (MODEL_KINDS, fit_forest, fit_gbt, fit_mlp, fit_position_model,
+                    fit_tree, load_model, save_model)
 from .render import (apply_rolling_shutter, base_brightness, rasterize_panel,
                      read_pgm, write_pgm)
 from .vision import extract_corners
@@ -25,9 +27,16 @@ def _heights(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in raw.split(",") if p.strip())
 
 
+def _given(args, *targets) -> dict:
+    """The parsed flags that name a parameter of one of targets. A flag for a
+    spec field or a fitter keyword has no parser default, so when it is left
+    out it is absent here and the target's own default applies."""
+    names = set().union(*(inspect.signature(t).parameters for t in targets))
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
 def _cmd_simulate(args) -> int:
-    spec = SweepSpec(_heights(args.heights), args.step,
-                     GridSpec(args.extent, args.spacing))
+    spec = SweepSpec(grid=GridSpec(**_given(args, GridSpec)), **_given(args, SweepSpec))
     intr, panel = CameraIntrinsics(), LedPanel()
     ds = generate_sweep(spec, intr, panel)
     ds.to_csv(args.out)
@@ -35,7 +44,6 @@ def _cmd_simulate(args) -> int:
     if args.render_dir:
         os.makedirs(args.render_dir, exist_ok=True)
         limit = len(ds) if args.render_limit is None else min(args.render_limit, len(ds))
-        from .geometry import Attitude, Pose, Vec3
         for k in range(limit):
             pose = Pose(Vec3(*ds.targets[k]), Attitude(*ds.attitude[k]))
             frame = rasterize_panel(intr, pose, panel,
@@ -46,9 +54,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_capture(args) -> int:
-    spec = CaptureSpec(_heights(args.heights), GridSpec(args.extent, args.spacing),
-                       args.per_location, args.yaw_limit, args.tilt_max, args.seed,
-                       args.jitter, args.pixel_sigma)
+    spec = CaptureSpec(grid=GridSpec(**_given(args, GridSpec)),
+                       **_given(args, CaptureSpec))
     ds = generate_capture_set(spec, CameraIntrinsics(), LedPanel())
     ds.to_csv(args.out)
     print(f"captured {len(ds)} rows ({ds.dropped} dropped) -> {args.out}")
@@ -65,24 +72,12 @@ def _cmd_extract(args) -> int:
 
 def _cmd_train(args) -> int:
     ds = Dataset.from_csv(args.data)
-    params = {}
-    if args.kind == "forest":
-        params["n_trees"] = args.trees
-    elif args.kind == "gbt":
-        params["rounds"] = args.rounds
-        params["learning_rate"] = args.learning_rate
-        if args.max_depth is not None:
-            params["max_depth"] = args.max_depth
-    elif args.kind == "tree":
-        if args.max_depth is not None:
-            params["max_depth"] = args.max_depth
-    elif args.kind == "mlp":
-        params["epochs"] = args.epochs
-        params["batch_size"] = args.batch
-    model = fit_position_model(ds.features, ds.targets, args.kind,
-                               seed=args.seed, **params)
+    # kind, seed and the fitter keywords given; fit_position_model rejects
+    # a keyword that the kind's fitter does not take
+    model = fit_position_model(ds.features, ds.targets, **_given(
+        args, fit_position_model, fit_tree, fit_forest, fit_gbt, fit_mlp))
     save_model(model, args.out)
-    print(f"trained {args.kind} on {len(ds)} rows -> {args.out}")
+    print(f"trained {model.kind} on {len(ds)} rows -> {args.out}")
     return 0
 
 
@@ -107,12 +102,12 @@ def _cmd_codec_encode(args) -> int:
     print(f"id=0x{led_id:02X} levels={''.join(str(v) for v in w.levels)} "
           f"level_duration_us={w.level_duration_us!r}")
     if args.pgm:
-        from .geometry import Attitude, Pose, Vec3
         intr, panel = CameraIntrinsics(), LedPanel()
         pose = Pose(Vec3(0.0, 0.0, args.height), Attitude(0.0, 0.0, 0.0))
         frame = rasterize_panel(intr, pose, panel,
                                 base_brightness(pose, panel, intr))
-        frame = apply_rolling_shutter(frame, frame.quad, w, phase_us=args.phase)
+        frame = apply_rolling_shutter(frame, frame.quad, w,
+                                      **_given(args, apply_rolling_shutter))
         write_pgm(frame, args.pgm)
         print(f"striped frame -> {args.pgm}")
     return 0
@@ -139,14 +134,7 @@ def _cmd_codec_decode(args) -> int:
 
 def _cmd_report(args) -> int:
     raw = parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    if args.study:
-        overrides["study"] = args.study
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.per_location is not None:
-        overrides["per_location"] = args.per_location
-    cfg = build_study_config(raw, **overrides)
+    cfg = build_study_config(raw, **_given(args, StudyConfig))
     reports = run_experiment(cfg, args.out)
     for key in sorted(reports):
         r = reports[key]
@@ -160,31 +148,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="vlp",
                                 description="LED-panel visible light positioning toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    # In these commands a flag with no default here names a spec field or a
+    # fitter keyword (its dest); left out, it takes the spec's or fitter's
+    # own default.
+    param_flags = dict(argument_default=argparse.SUPPRESS)
 
-    s = sub.add_parser("simulate", help="exhaustive pose sweep to a features CSV")
+    s = sub.add_parser("simulate", help="exhaustive pose sweep to a features CSV",
+                       **param_flags)
     s.add_argument("--out", required=True)
-    s.add_argument("--heights", default="1.3,1.66", help="comma list, meters")
-    s.add_argument("--step", type=int, default=45, help="attitude step, degrees")
-    s.add_argument("--extent", type=float, default=1.2)
-    s.add_argument("--spacing", type=float, default=0.2)
+    s.add_argument("--heights", dest="heights_m", type=_heights, default="1.3,1.66",
+                   help="comma list, meters")
+    s.add_argument("--step", dest="angle_step_deg", type=int,
+                   help="attitude step, degrees")
+    s.add_argument("--extent", dest="extent_m", type=float)
+    s.add_argument("--spacing", dest="spacing_m", type=float)
     s.add_argument("--render-dir", default=None, help="also write PGM frames here")
     s.add_argument("--render-limit", type=int, default=None)
     s.set_defaults(fn=_cmd_simulate)
 
-    s = sub.add_parser("capture", help="randomized noisy capture set to a features CSV")
+    s = sub.add_parser("capture", help="randomized noisy capture set to a features CSV",
+                       **param_flags)
     s.add_argument("--out", required=True)
-    s.add_argument("--heights", default="1.3,1.66")
-    s.add_argument("--per-location", type=int, default=10)
-    s.add_argument("--extent", type=float, default=1.2)
-    s.add_argument("--spacing", type=float, default=0.2)
-    s.add_argument("--jitter", type=float, default=1.0, help="corner jitter sigma, px")
-    s.add_argument("--pixel-sigma", type=float, default=0.02,
+    s.add_argument("--heights", dest="heights_m", type=_heights, default="1.3,1.66")
+    s.add_argument("--per-location", type=int)
+    s.add_argument("--extent", dest="extent_m", type=float)
+    s.add_argument("--spacing", dest="spacing_m", type=float)
+    s.add_argument("--jitter", dest="corner_jitter_px", type=float,
+                   help="corner jitter sigma, px")
+    s.add_argument("--pixel-sigma", type=float,
                    help="pixel noise sigma, fraction of full scale")
-    s.add_argument("--yaw-limit", type=float, default=0.05,
+    s.add_argument("--yaw-limit", dest="yaw_limit_deg", type=float,
                    help="boresight yaw dither, degrees")
-    s.add_argument("--tilt-max", type=float, default=0.05,
+    s.add_argument("--tilt-max", dest="tilt_max_deg", type=float,
                    help="aim wobble ceiling, degrees")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int)
     s.set_defaults(fn=_cmd_capture)
 
     s = sub.add_parser("extract", help="corner features from one PGM frame")
@@ -193,17 +190,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="close modulation stripes before detection")
     s.set_defaults(fn=_cmd_extract)
 
-    s = sub.add_parser("train", help="fit a position model from a features CSV")
+    s = sub.add_parser("train", help="fit a position model from a features CSV",
+                       **param_flags)
     s.add_argument("--data", required=True)
-    s.add_argument("--kind", choices=MODEL_KINDS, default="gbt")
+    s.add_argument("--kind", choices=MODEL_KINDS)
     s.add_argument("--out", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--trees", type=int, default=150)
-    s.add_argument("--rounds", type=int, default=150)
-    s.add_argument("--learning-rate", type=float, default=0.3)
-    s.add_argument("--max-depth", type=int, default=None)
-    s.add_argument("--epochs", type=int, default=80)
-    s.add_argument("--batch", type=int, default=64)
+    s.add_argument("--trees", dest="n_trees", type=int)
+    s.add_argument("--rounds", type=int)
+    s.add_argument("--learning-rate", type=float)
+    s.add_argument("--max-depth", type=int)
+    s.add_argument("--epochs", type=int)
+    s.add_argument("--batch", dest="batch_size", type=int)
     s.set_defaults(fn=_cmd_train)
 
     s = sub.add_parser("eval", help="evaluate a model on a features CSV")
@@ -221,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bit-rate", type=float, default=DEFAULT_BIT_RATE_HZ)
     s.add_argument("--pgm", default=None, help="also render a striped frame")
     s.add_argument("--height", type=float, default=1.3)
-    s.add_argument("--phase", type=float, default=0.0)
+    s.add_argument("--phase", dest="phase_us", type=float, default=argparse.SUPPRESS)
     s.set_defaults(fn=_cmd_codec_encode)
     s = csub.add_parser("decode", help="recover the id from a striped PGM frame")
     s.add_argument("--frame", required=True)
@@ -229,12 +227,13 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--db", default=None, help="luminaire CSV: id,x,y,z")
     s.set_defaults(fn=_cmd_codec_decode)
 
-    s = sub.add_parser("report", help="run a canned study and write its reports")
+    s = sub.add_parser("report", help="run a canned study and write its reports",
+                       **param_flags)
     s.add_argument("--out", required=True)
-    s.add_argument("--study", choices=STUDIES, default=None)
+    s.add_argument("--study", choices=STUDIES)
     s.add_argument("--config", default=None, help="key=value config file")
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--per-location", type=int, default=None)
+    s.add_argument("--seed", type=int)
+    s.add_argument("--per-location", type=int)
     s.set_defaults(fn=_cmd_report)
     return p
 

@@ -45,17 +45,6 @@ class Vec3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
-    @staticmethod
-    def from_array(a) -> "Vec3":
-        a = np.asarray(a, dtype=np.float64)
-        return Vec3(float(a[0]), float(a[1]), float(a[2]))
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
@@ -268,22 +257,6 @@ def camera_rotation(att: Attitude) -> np.ndarray:
     return attitude_to_matrix(att) @ BASE_ALIGNMENT
 
 
-def project_point(intr: CameraIntrinsics, pose: Pose, point: Vec3) -> tuple[float, float]:
-    """Project an LCS point through the pinhole camera at a pose.
-
-    Returns pixel (u, v), possibly outside the sensor bounds. Raises
-    BehindCamera when the point is on or behind the camera plane.
-    """
-    c = camera_rotation(pose.attitude)
-    p_cam = c.T @ (point.as_array() - pose.position.as_array())
-    z = p_cam[2]
-    if z <= 0:
-        raise BehindCamera(f"point {point} has camera depth {z:.6g}")
-    u = intr.fx_px * p_cam[0] / z + intr.cx_px
-    v = intr.fy_px * p_cam[1] / z + intr.cy_px
-    return float(u), float(v)
-
-
 def project_panel_corners(intr: CameraIntrinsics, pose: Pose, panel: LedPanel) -> CornerSet:
     """Project the panel's four corners and return them canonically ordered.
 
@@ -329,21 +302,3 @@ def on_sensor(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
 def in_fov(corners: CornerSet, intr: CameraIntrinsics) -> bool:
     """True when all four corners lie inside [0, width) x [0, height)."""
     return bool(on_sensor(corners.points, intr))
-
-
-def backproject_to_panel_plane(intr: CameraIntrinsics, pose: Pose, u: float, v: float) -> Vec3:
-    """Cast the ray through pixel (u, v) and intersect the panel plane z = 0.
-
-    Inverse of project_point for panel-plane points; used for ray-cast
-    labels. Raises BehindCamera when the ray never reaches the plane.
-    """
-    c = camera_rotation(pose.attitude)
-    d_cam = np.array([(u - intr.cx_px) / intr.fx_px, (v - intr.cy_px) / intr.fy_px, 1.0])
-    d_lcs = c @ d_cam
-    if abs(d_lcs[2]) < 1e-15:
-        raise BehindCamera("ray parallel to the panel plane")
-    t = -pose.position.z / d_lcs[2]
-    if t <= 0:
-        raise BehindCamera("panel plane is behind the camera")
-    p = pose.position.as_array() + t * d_lcs
-    return Vec3(float(p[0]), float(p[1]), 0.0)

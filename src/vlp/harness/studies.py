@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..geometry import CameraIntrinsics, LedPanel
-from ..learn import MODEL_KINDS, fit_position_model
+from ..learn import MODEL_KINDS, fit_forest, fit_gbt, fit_mlp, fit_position_model
 from .evaluate import EvalReport, evaluate
 from .report import write_cdf_csv, write_grid_csv, write_grid_svg, write_report
 from .sweep import (CLEAN_TAG, CaptureSpec, GridSpec, SweepSpec,
@@ -33,30 +33,31 @@ _KIND_SEED_SLOT = {"forest": 2, "gbt": 3, "mlp": 4, "tree": 6}
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Parameters for one study run; defaults mirror the experiment scale
-    of the measurement campaign the harness models."""
+    """Parameters for one study run. The grid, sweep, capture and fitter
+    defaults are the specs' and fitters' own; the heights, the split, the
+    kinds and the gbt depth and learning rate are the study's scale."""
 
     study: str
     seed: int = 0
-    grid_extent_m: float = 1.2
-    grid_spacing_m: float = 0.2
-    angle_step_deg: int = 45
-    per_location: int = 10
+    grid_extent_m: float = GridSpec.extent_m
+    grid_spacing_m: float = GridSpec.spacing_m
+    angle_step_deg: int = SweepSpec.angle_step_deg
+    per_location: int = CaptureSpec.per_location
     test_per_location: int = 2
-    corner_jitter_px: float = 1.0
-    pixel_sigma: float = 0.02
-    yaw_limit_deg: float = 0.05
-    tilt_max_deg: float = 0.05
+    corner_jitter_px: float = CaptureSpec.corner_jitter_px
+    pixel_sigma: float = CaptureSpec.pixel_sigma
+    yaw_limit_deg: float = CaptureSpec.yaw_limit_deg
+    tilt_max_deg: float = CaptureSpec.tilt_max_deg
     heights_capture: tuple[float, ...] = (1.3, 1.66)
     heights_sweep_train: tuple[float, ...] = (1.56, 1.76)
     heights_test: tuple[float, ...] = (1.23, 1.6)
     model_kinds: tuple[str, ...] = ("forest", "gbt", "mlp")
-    forest_trees: int = 150
-    gbt_rounds: int = 150
+    forest_trees: int = fit_forest.__kwdefaults__["n_trees"]
+    gbt_rounds: int = fit_gbt.__kwdefaults__["rounds"]
     gbt_depth: int = 10
     gbt_lr: float = 0.1
-    mlp_epochs: int = 80
-    mlp_batch: int = 64
+    mlp_epochs: int = fit_mlp.__kwdefaults__["epochs"]
+    mlp_batch: int = fit_mlp.__kwdefaults__["batch_size"]
 
     def __post_init__(self):
         if self.study not in STUDIES:
@@ -99,12 +100,14 @@ class StudyConfig:
         return GridSpec(self.grid_extent_m, self.grid_spacing_m)
 
     def sweep_spec(self, heights: tuple[float, ...]) -> SweepSpec:
-        return SweepSpec(heights, self.angle_step_deg, self.grid())
+        return SweepSpec(heights, angle_step_deg=self.angle_step_deg, grid=self.grid())
 
     def capture_spec(self, heights: tuple[float, ...], seed: int) -> CaptureSpec:
-        return CaptureSpec(heights, self.grid(), self.per_location,
-                           self.yaw_limit_deg, self.tilt_max_deg, seed,
-                           self.corner_jitter_px, self.pixel_sigma)
+        return CaptureSpec(heights, grid=self.grid(), per_location=self.per_location,
+                           yaw_limit_deg=self.yaw_limit_deg,
+                           tilt_max_deg=self.tilt_max_deg, seed=seed,
+                           corner_jitter_px=self.corner_jitter_px,
+                           pixel_sigma=self.pixel_sigma)
 
     def echo(self) -> dict:
         d = asdict(self)

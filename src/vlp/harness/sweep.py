@@ -237,8 +237,13 @@ class Dataset:
         arr = np.asarray(rows, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise MalformedCsv(f"{path}: non-finite entries")
-        return Dataset(arr[:, 9:17], arr[:, 0:3], arr[:, 6].astype(np.int64),
-                       arr[:, 7].astype(np.int64), arr[:, 8], arr[:, 3:6], tag)
+        grid = arr[:, 6:8]
+        bad = grid[(grid < 0) | (grid >= 2.0**63) | (grid != np.floor(grid))]
+        if bad.size:
+            raise MalformedCsv(f"{path}: grid index {float(bad[0])!r} is not an "
+                               f"int64 >= 0")
+        return Dataset(arr[:, 9:17], arr[:, 0:3], grid[:, 0], grid[:, 1],
+                       arr[:, 8], arr[:, 3:6], tag)
 
 
 def generate_sweep(spec: SweepSpec, intr: CameraIntrinsics | None = None,
@@ -388,7 +393,7 @@ def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None
     )
 
 
-def split(ds: Dataset, test_per_location: int = 2, seed=None) -> tuple[Dataset, Dataset]:
+def split(ds: Dataset, test_per_location: int, seed=None) -> tuple[Dataset, Dataset]:
     """Partition rows into train and test, sampling test_per_location rows
     uniformly per (grid point, height). Raises InsufficientRows when a
     location has fewer rows than requested."""

@@ -26,10 +26,6 @@ class GbtModel:
         self.learning_rate = float(learning_rate)
         self.trees = list(trees)
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.trees)
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
         if x.ndim == 1:

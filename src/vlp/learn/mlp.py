@@ -33,10 +33,6 @@ class Mlp:
         self.y_mean = float(y_mean)
         self.y_std = float(y_std)
 
-    @property
-    def widths(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
         if x.ndim == 1:
@@ -113,10 +109,9 @@ def fit_mlp(features, targets, *, hidden: tuple[int, ...] = (200, 200, 200, 200,
     weights[-1][:] = 0.0  # head at zero: epoch-0 prediction is the mean
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    params = weights + biases  # the same arrays: updates land in both lists
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     step = 0
     n = xs.shape[0]
     for _ in range(epochs):
@@ -127,11 +122,8 @@ def fit_mlp(features, targets, *, hidden: tuple[int, ...] = (200, 200, 200, 200,
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
-            for i in range(len(weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                weights[i] -= learning_rate * (m_w[i] / bc1) / (np.sqrt(v_w[i] / bc2) + eps)
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                biases[i] -= learning_rate * (m_b[i] / bc1) / (np.sqrt(v_b[i] / bc2) + eps)
+            for i, g in enumerate(gw + gb):
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
+                params[i] -= learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
     return Mlp(weights, biases, x_mean, x_std, y_mean, y_std)

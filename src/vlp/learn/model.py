@@ -10,6 +10,8 @@ predictions bit-exactly.
 from __future__ import annotations
 
 import json
+from inspect import signature
+
 import numpy as np
 
 from ..errors import BadFeatures, MalformedModel
@@ -25,12 +27,12 @@ FORMAT_TAG = "vlp-model/1"
 AXES = ("x", "y", "z")
 N_FEATURES = 8  # (u, v) pixel coordinates of the four panel corners
 
-# kind -> (submodel class, fitter, whether the fitter draws random numbers)
+# kind -> (submodel class, fitter)
 _KINDS = {
-    "tree": (Tree, fit_tree, False),
-    "forest": (Forest, fit_forest, True),
-    "gbt": (GbtModel, fit_gbt, False),
-    "mlp": (Mlp, fit_mlp, True),
+    "tree": (Tree, fit_tree),
+    "forest": (Forest, fit_forest),
+    "gbt": (GbtModel, fit_gbt),
+    "mlp": (Mlp, fit_mlp),
 }
 MODEL_KINDS = tuple(_KINDS)
 
@@ -72,13 +74,18 @@ def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
     """Train one submodel per target column with seeds derived per axis.
 
     features: a finite (N, 8) matrix, else BadFeatures; targets: (N, 3).
-    Extra keyword params pass through to the underlying fitter. seed=None
-    draws a fresh root seed, which is recorded on the model so the fit
-    stays reproducible after the fact.
+    Extra keyword params pass through to the kind's fitter, which must take
+    them (else ValueError), and are recorded as the model's hyperparameters.
+    seed=None draws a fresh root seed, which is recorded on the model so the
+    fit stays reproducible after the fact.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    _, fitter, seeded = _KINDS[kind]
+    _, fitter = _KINDS[kind]
+    takes = signature(fitter).parameters
+    unknown = [name for name in params if name not in takes]
+    if unknown:
+        raise ValueError(f"model kind {kind!r} takes no {', '.join(unknown)}")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     _check_features(x)
@@ -89,7 +96,7 @@ def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
     axis_seeds = np.random.SeedSequence(seed).generate_state(3, np.uint64)
     submodels = []
     for axis in range(3):
-        axis_seed = {"seed": int(axis_seeds[axis])} if seeded else {}
+        axis_seed = {"seed": int(axis_seeds[axis])} if "seed" in takes else {}
         submodels.append(fitter(x, y[:, axis], **axis_seed, **params))
     return PositionModel(kind, submodels, seed, params)
 

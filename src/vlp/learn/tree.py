@@ -35,10 +35,6 @@ class Tree:
     def n_nodes(self) -> int:
         return int(self.feature.size)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature < 0))
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted value for each row of an (N, n_features) matrix."""
         x = np.asarray(features, dtype=np.float64)

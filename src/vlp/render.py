@@ -74,10 +74,6 @@ class Waveform:
     def period_us(self) -> float:
         return len(self.levels) * self.level_duration_us
 
-    @property
-    def duty(self) -> float:
-        return sum(self.levels) / len(self.levels)
-
 
 class Frame:
     """A grayscale capture: (height, width) uint8 pixels plus capture meta.

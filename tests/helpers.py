@@ -160,6 +160,24 @@ def finite_difference_worst_rel(widths, n: int, seed: int) -> float:
     return worst
 
 
+def project_point(intr, pose, point) -> tuple[float, float]:
+    """Pinhole projection of one LCS point: take it into the camera frame,
+    divide by its depth, and scale by the focal lengths about the principal
+    point. Returns pixel (u, v), possibly off the sensor. Raises
+    BehindCamera when the point is on or behind the camera plane."""
+    from vlp.errors import BehindCamera
+    from vlp.geometry import camera_rotation
+
+    c = camera_rotation(pose.attitude)
+    p_cam = c.T @ (point.as_array() - pose.position.as_array())
+    z = p_cam[2]
+    if z <= 0:
+        raise BehindCamera(f"point {point} has camera depth {z:.6g}")
+    u = intr.fx_px * p_cam[0] / z + intr.cx_px
+    v = intr.fy_px * p_cam[1] / z + intr.cy_px
+    return float(u), float(v)
+
+
 def point_in_convex_quad(pts: np.ndarray, quad: np.ndarray) -> np.ndarray:
     """Half-plane test against a convex quad in vertex order; points exactly
     on an edge count as inside."""

@@ -2,14 +2,19 @@
 capture -> train -> eval, simulate, encode -> extract -> decode, and the
 error-to-exit-code contract."""
 
+import functools
+import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vlp import cli
 from vlp.cli import main
 from vlp.errors import MalformedFrame
+from vlp.harness import CaptureSpec, Dataset, GridSpec, SweepSpec
 from vlp.render import Frame, FrameMeta, read_pgm, write_pgm
 
 
@@ -50,6 +55,72 @@ def test_train_gbt_flags(tmp_path, capsys):
                "--learning-rate", "0.5", "--max-depth", "3"])
     capsys.readouterr()
     assert rc == 0 and model.exists()
+
+
+@pytest.mark.parametrize("command, flags, fields", [
+    ("capture", [], {}),
+    ("capture", ["--heights", "1.5,2"], {"heights_m": (1.5, 2.0)}),
+    ("capture", ["--per-location", "3"], {"per_location": 3}),
+    ("capture", ["--extent", "0.8", "--spacing", "0.4"], {"grid": GridSpec(0.8, 0.4)}),
+    ("capture", ["--jitter", "0.5"], {"corner_jitter_px": 0.5}),
+    ("capture", ["--pixel-sigma", "0.1"], {"pixel_sigma": 0.1}),
+    ("capture", ["--yaw-limit", "2"], {"yaw_limit_deg": 2.0}),
+    ("capture", ["--tilt-max", "5"], {"tilt_max_deg": 5.0}),
+    ("capture", ["--seed", "7"], {"seed": 7}),
+    ("simulate", [], {}),
+    ("simulate", ["--heights", "1.5"], {"heights_m": (1.5,)}),
+    ("simulate", ["--step", "90"], {"angle_step_deg": 90}),
+    ("simulate", ["--extent", "0.8"], {"grid": GridSpec(extent_m=0.8)}),
+    ("simulate", ["--spacing", "0.3"], {"grid": GridSpec(spacing_m=0.3)}),
+])
+def test_spec_flags_reach_their_spec_fields(tmp_path, monkeypatch, capsys,
+                                            command, flags, fields):
+    # a flag left out takes the spec's own default; only --heights has one here
+    specs = []
+
+    def spy(spec, *args):
+        specs.append(spec)
+        return Dataset(np.empty((0, 8)), np.empty((0, 3)), [], [], [],
+                       np.empty((0, 3)), "spy")
+
+    generator, spec_cls = {"capture": ("generate_capture_set", CaptureSpec),
+                           "simulate": ("generate_sweep", SweepSpec)}[command]
+    monkeypatch.setattr(cli, generator, spy)
+    assert main([command, "--out", str(tmp_path / "rows.csv"), *flags]) == 0
+    capsys.readouterr()
+    assert specs == [replace(spec_cls(heights_m=(1.3, 1.66)), **fields)]
+
+
+@pytest.mark.parametrize("flags, given", [
+    ([], {}),
+    (["--kind", "tree", "--max-depth", "2"], {"kind": "tree", "max_depth": 2}),
+    (["--kind", "forest", "--trees", "5"], {"kind": "forest", "n_trees": 5}),
+    (["--rounds", "3", "--learning-rate", "0.5", "--max-depth", "4"],
+     {"rounds": 3, "learning_rate": 0.5, "max_depth": 4}),
+    (["--kind", "mlp", "--epochs", "2", "--batch", "8", "--learning-rate", "0.01"],
+     {"kind": "mlp", "epochs": 2, "batch_size": 8, "learning_rate": 0.01}),
+])
+def test_train_passes_only_the_flags_given(tmp_path, monkeypatch, capsys, flags, given):
+    # a keyword left out takes fit_position_model's or the fitter's own
+    # default, and the model document records only the keywords given
+    calls = []
+    fit = cli.fit_position_model
+
+    @functools.wraps(fit)  # the command reads the keywords it takes by name
+    def spy(features, targets, **kw):
+        calls.append(kw)
+        return fit(features, targets, **kw)
+
+    monkeypatch.setattr(cli, "fit_position_model", spy)
+    data, out = tmp_path / "rows.csv", tmp_path / "model.json"
+    row = ",".join(["0.1", "0.2", "1.3", "0", "0", "0", "0", "0", "1.3"]
+                   + [str(float(k)) for k in range(8)])
+    data.write_text(f"{row}\n{row.replace('0.1', '0.3', 1)}\n")
+    assert main(["train", "--data", str(data), "--out", str(out), *flags]) == 0
+    capsys.readouterr()
+    assert calls == [dict(given, seed=0)]
+    doc = json.loads(out.read_text())
+    assert doc["hyperparameters"] == {k: v for k, v in given.items() if k != "kind"}
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -205,7 +276,9 @@ def test_malformed_study_config_exits_2_before_any_output(tmp_path, capsys,
     ["codec", "encode", "--id", "0x1FF"],
     ["codec", "encode", "--id", "zz"],
     ["train", "--data", "rows.csv", "--kind", "forest", "--trees", "0", "--out", "m.json"],
-], ids=["per-location-0", "step-7", "id-out-of-range", "id-not-a-number", "trees-0"])
+    ["train", "--data", "rows.csv", "--kind", "forest", "--rounds", "3", "--out", "m.json"],
+], ids=["per-location-0", "step-7", "id-out-of-range", "id-not-a-number", "trees-0",
+        "forest-takes-no-rounds"])
 def test_bad_flag_value_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     row = ",".join(["0.1", "0.2", "1.3", "0", "0", "0", "0", "0", "1.3"]

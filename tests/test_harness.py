@@ -4,6 +4,7 @@ with the scalar projector; evaluation statistics against hand arithmetic."""
 
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,20 @@ def test_dataset_from_csv_rejects_garbage(tmp_path):
         Dataset.from_csv(p)
 
 
+@pytest.mark.parametrize("grid_j", ["1.7", "-2.0", "1e+19"],
+                         ids=["not-integral", "negative", "past-int64"])
+def test_dataset_from_csv_rejects_a_bad_grid_index(tmp_path, grid_j):
+    p = tmp_path / "rows.csv"
+    row = ["0.1", "0.2", "1.3", "0", "0", "0", "3", grid_j, "1.3"] + ["1.0"] * 8
+    p.write_text(",".join(row) + "\n")
+    with pytest.raises(MalformedCsv, match=re.escape(f"grid index {grid_j} is not an int64 >= 0")):
+        Dataset.from_csv(p)
+    row[7] = "2.0"
+    p.write_text(",".join(row) + "\n")
+    ds = Dataset.from_csv(p)
+    assert (ds.grid_i.tolist(), ds.grid_j.tolist()) == ([3], [2])
+
+
 def test_dataset_subset_and_concatenate(intr, panel):
     ds = generate_sweep(SweepSpec((1.3, 1.66), angle_step_deg=90,
                                   grid=GridSpec(0.4, 0.2)), intr, panel)
@@ -244,7 +259,7 @@ def test_capture_zero_noise_matches_projection(intr, panel):
     ds = generate_capture_set(spec, intr, panel)
     assert len(ds) == 8
     for k in range(len(ds)):
-        pose = Pose(Vec3.from_array(ds.targets[k]),
+        pose = Pose(Vec3(*ds.targets[k]),
                     Attitude(*ds.attitude[k]))
         want = project_panel_corners(intr, pose, panel).points.reshape(8)
         assert float(np.abs(ds.features[k] - want).max()) < 2.0

@@ -41,7 +41,7 @@ def test_tree_splits_at_midpoint():
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 1.5
     np.testing.assert_allclose(tree.predict(x), y)
-    assert tree.n_leaves == 2 and tree.n_nodes == 3
+    assert np.count_nonzero(tree.feature < 0) == 2 and tree.n_nodes == 3
 
 
 def test_tree_matches_exhaustive_search():
@@ -191,7 +191,7 @@ def test_gbt_zero_rounds_returns_base_score():
     x = np.arange(5.0).reshape(-1, 1)
     y = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
     model = fit_gbt(x, y, rounds=0)
-    assert model.n_rounds == 0
+    assert model.trees == []
     np.testing.assert_allclose(model.predict(x), y.mean())
 
 
@@ -317,7 +317,7 @@ def test_mlp_widths_and_validation():
     x = g.normal(size=(10, 4))
     y = g.normal(size=10)
     model = fit_mlp(x, y, hidden=(5, 3), epochs=0)
-    assert model.widths == [4, 5, 3, 1]
+    assert [w.shape for w in model.weights] == [(4, 5), (5, 3), (3, 1)]
     with pytest.raises(ValueError):
         fit_mlp(x, y, hidden=(0,))
     with pytest.raises(ValueError):
@@ -424,6 +424,8 @@ def test_position_model_validation(tmp_path):
     x, y = _toy_xy(seed=53)
     with pytest.raises(ValueError, match="unknown model kind"):
         fit_position_model(x, y, "svm")
+    with pytest.raises(ValueError, match="'forest' takes no rounds"):
+        fit_position_model(x, y, "forest", n_trees=2, rounds=3)
     with pytest.raises(ValueError):
         fit_position_model(x, y[:, :2], "tree")
     bad = tmp_path / "bad.json"

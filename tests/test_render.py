@@ -43,8 +43,6 @@ def test_frame_meta_rejects_non_finite_and_non_positive(field, value):
 def test_waveform_validation_and_properties():
     w = Waveform((1, 0, 1, 1), 50.0)
     assert w.period_us == 200.0
-    assert w.duty == pytest.approx(0.75)
-    assert Waveform((1,), 50.0).duty == 1.0
     with pytest.raises(ValueError):
         Waveform((), 50.0)
     with pytest.raises(ValueError):
