@@ -20,11 +20,12 @@ from .sweep import (CLEAN_TAG, CaptureSpec, GridSpec, SweepSpec,
 
 __all__ = ["StudyConfig", "run_experiment", "STUDIES"]
 
-# study -> the model kinds it can fit; it fits those that model_kinds lists
+# study -> (the model kinds it fits by default, every kind it can fit);
+# model-selection fits the single tree only when model_kinds lists it
 _STUDY_KINDS = {
-    "model-selection": MODEL_KINDS,
-    "sim-vs-capture": ("forest", "gbt"),
-    "height-generalization": ("gbt",),
+    "model-selection": (("forest", "gbt", "mlp"), MODEL_KINDS),
+    "sim-vs-capture": (("forest", "gbt"), ("forest", "gbt")),
+    "height-generalization": (("gbt",), ("gbt",)),
 }
 STUDIES = tuple(_STUDY_KINDS)
 # model kind -> the study seed its fit draws from
@@ -35,7 +36,8 @@ _KIND_SEED_SLOT = {"forest": 2, "gbt": 3, "mlp": 4, "tree": 6}
 class StudyConfig:
     """Parameters for one study run. The grid, sweep, capture and fitter
     defaults are the specs' and fitters' own; the heights, the split, the
-    kinds and the gbt depth and learning rate are the study's scale."""
+    kinds and the gbt depth and learning rate are the study's scale.
+    model_kinds defaults to the study's own kinds."""
 
     study: str
     seed: int = 0
@@ -51,7 +53,7 @@ class StudyConfig:
     heights_capture: tuple[float, ...] = (1.3, 1.66)
     heights_sweep_train: tuple[float, ...] = (1.56, 1.76)
     heights_test: tuple[float, ...] = (1.23, 1.6)
-    model_kinds: tuple[str, ...] = ("forest", "gbt", "mlp")
+    model_kinds: tuple[str, ...] | None = None
     forest_trees: int = fit_forest.__kwdefaults__["n_trees"]
     gbt_rounds: int = fit_gbt.__kwdefaults__["rounds"]
     gbt_depth: int = 10
@@ -62,6 +64,9 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; pick one of {STUDIES}")
+        default_kinds, fittable = _STUDY_KINDS[self.study]
+        if self.model_kinds is None:
+            object.__setattr__(self, "model_kinds", default_kinds)
         # check here what the split and the fitters would reject, and build
         # every spec a study can run on so their checks fire too, all before
         # run_experiment creates the output directory
@@ -77,10 +82,9 @@ class StudyConfig:
                 raise ValueError(f"unknown model kind {kind!r}")
         if len(set(self.model_kinds)) < len(self.model_kinds):
             raise ValueError(f"model_kinds {list(self.model_kinds)} repeats a kind")
-        if not self.kinds_to_fit():
-            raise ValueError(
-                f"model_kinds {list(self.model_kinds)} leaves {self.study} "
-                f"nothing to fit; it fits {list(_STUDY_KINDS[self.study])}")
+        unfit = [kind for kind in self.model_kinds if kind not in fittable]
+        if unfit:
+            raise ValueError(f"{self.study} cannot fit {unfit}; it fits {list(fittable)}")
         if self.forest_trees < 1:
             raise ValueError("forest_trees must be >= 1")
         if self.gbt_rounds < 0 or self.gbt_depth < 0 or self.mlp_epochs < 0:
@@ -92,9 +96,6 @@ class StudyConfig:
         self.sweep_spec(self.heights_sweep_train)
         self.capture_spec(self.heights_capture, 0)
         self.capture_spec(self.heights_test, 0)
-
-    def kinds_to_fit(self) -> list[str]:
-        return [k for k in self.model_kinds if k in _STUDY_KINDS[self.study]]
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_extent_m, self.grid_spacing_m)
@@ -158,7 +159,7 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
                       "learning_rate": cfg.gbt_lr},
               "mlp": {"epochs": cfg.mlp_epochs, "batch_size": cfg.mlp_batch}}
     reports: dict[str, EvalReport] = {}
-    for kind in cfg.kinds_to_fit():
+    for kind in cfg.model_kinds:
         model = fit_position_model(train.features, train.targets, kind,
                                    seed=int(seeds[_KIND_SEED_SLOT[kind]]), **params[kind])
         for variant, test in tests.items():

@@ -37,6 +37,9 @@ _ANCHOR_EXPOSURE_US = 68.0
 BRIGHTNESS_K = SATURATION_MARGIN * _ANCHOR_D_M**2 / (
     _ANCHOR_I0_CD * _ANCHOR_ISO * _ANCHOR_EXPOSURE_US
 )
+# Capture noise covers the quad's pixel box grown by this margin; beyond it
+# a rendered frame is black, and gets the bare noise pedestal.
+NOISE_MARGIN_PX = 16
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,12 @@ class Waveform:
 class Frame:
     """A grayscale capture: (height, width) uint8 pixels plus capture meta.
 
-    Frames synthesized in-process also carry their generation provenance
-    (projected quad, fill value, per-row shutter factors) so capture noise
-    can re-rasterize a perturbed quad; frames loaded from disk have none.
+    Frames synthesized in-process also carry their generation provenance:
+    the projected quad, the fill value and the per-row shutter factors.
+    Capture noise re-rasterizes a jittered quad from them, and draws pixel
+    noise only in a window around the quad, since a rendered frame is black
+    outside it. Frames loaded from disk have none, so their noise covers
+    the whole frame.
     """
 
     __slots__ = ("pixels", "meta", "quad", "fill", "row_factors")
@@ -310,6 +316,19 @@ def apply_rolling_shutter(frame: Frame, quad: CornerSet, w: Waveform, *,
     return Frame(px, meta, quad=frame.quad, fill=frame.fill, row_factors=factors)
 
 
+def _noise_window(quad: CornerSet | None, shape: tuple[int, int]) -> tuple[slice, slice]:
+    """Rows and columns that get pixel noise: the quad's pixel bounding box
+    grown by NOISE_MARGIN_PX and clipped to the frame, or the whole frame
+    when there is no quad."""
+    if quad is None:
+        return slice(None), slice(None)
+    size = shape[::-1]  # (width, height), in the points' (u, v) order
+    lo = np.clip(np.floor(quad.points.min(axis=0)) - NOISE_MARGIN_PX, 0, size)
+    hi = np.clip(np.ceil(quad.points.max(axis=0)) + NOISE_MARGIN_PX, lo, size)
+    (c0, r0), (c1, r1) = lo.astype(int).tolist(), hi.astype(int).tolist()
+    return slice(r0, r1), slice(c0, c1)
+
+
 def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
                       seed) -> Frame:
     """Capture imperfection model: quad corners jittered by an isotropic
@@ -317,9 +336,19 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     3 * pixel_sigma plus Gaussian pixel noise, clipped to [0, 255].
 
     The pedestal keeps the background noise two-sided, so its sample std
-    matches pixel_sigma instead of the half-clipped value. Zero sigma and
-    zero jitter return the input frame bit-identically. Deterministic for a
-    fixed seed; the jitter draw happens before the pixel-noise draw.
+    matches pixel_sigma instead of the half-clipped value. Pixel noise is
+    drawn only inside the window around the (jittered) quad that
+    _noise_window gives; every pixel outside it, black in a rendered frame,
+    gets the bare pedestal round(3 * pixel_sigma). At the default 0.02 of
+    full scale that background sits about 22 sigma below the binarization
+    threshold, so no stage can tell it from a noisy one; a sigma large
+    enough to cross the threshold would show false blobs only inside the
+    window. A frame without a quad gets noise everywhere.
+
+    Zero sigma and zero jitter return the input frame bit-identically.
+    Deterministic for a fixed seed: the jitter is drawn from the generator
+    first, and the pixel noise from a child generator spawned from it, so
+    the jittered quad does not depend on the window's size or on sigma.
     """
     if corner_jitter_px < 0 or pixel_sigma < 0:
         raise ValueError("noise magnitudes must be non-negative")
@@ -336,11 +365,14 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
             _scale_rows(px, jittered, frame.row_factors)
         quad = CornerSet(jittered[canonical_order(jittered)])
     else:
-        px = frame.pixels.copy()
+        px = frame.pixels
     if pixel_sigma > 0:
-        buf = px.astype(np.float64)
+        window = _noise_window(quad, px.shape)
+        buf = px[window].astype(np.float64)
         buf += 3.0 * pixel_sigma
-        buf += rng.normal(0.0, pixel_sigma, size=buf.shape)
-        px = np.clip(np.rint(buf), 0.0, 255.0).astype(np.uint8)
+        buf += rng.spawn(1)[0].normal(0.0, pixel_sigma, size=buf.shape)
+        px = np.full(px.shape, np.clip(np.rint(3.0 * pixel_sigma), 0.0, 255.0), np.uint8)
+        px[window] = np.clip(np.rint(buf), 0.0, 255.0)
+    px.flags.writeable = False
     return Frame(px, frame.meta, quad=quad, fill=frame.fill,
                  row_factors=frame.row_factors)

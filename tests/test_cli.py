@@ -257,9 +257,11 @@ def test_bad_frame_meta_is_a_malformed_frame(tmp_path, capsys, meta):
     # a small study, so that a run that wrongly starts ends quickly
     (b"study = sim-vs-capture\nmodels.kinds = mlp\ngrid.extent_m = 0.4\n"
      b"grid.spacing_m = 0.4\ncapture.per_location = 1\nsweep.angle_step_deg = 90\n", []),
+    (b"study = sim-vs-capture\nmodels.kinds = gbt, mlp\ngrid.extent_m = 0.4\n"
+     b"grid.spacing_m = 0.4\ncapture.per_location = 1\nsweep.angle_step_deg = 90\n", []),
 ], ids=["undecodable-byte", "per-location-0", "spacing-not-dividing-extent",
         "no-training-rows-left", "forest-trees-0", "pixel-sigma-2",
-        "sim-vs-capture-fits-nothing"])
+        "sim-vs-capture-fits-nothing", "sim-vs-capture-lists-mlp"])
 def test_malformed_study_config_exits_2_before_any_output(tmp_path, capsys,
                                                           config, extra):
     cfg = tmp_path / "study.cfg"

@@ -493,10 +493,13 @@ def test_config_errors_name_the_key(tmp_path):
     ({"mlp_batch": 0}, "mlp_batch"),
     ({"corner_jitter_px": -0.5}, "corner_jitter_px"),
     ({"pixel_sigma": 2.0}, "pixel_sigma"),
-    ({"study": "sim-vs-capture", "model_kinds": ("mlp",)}, "nothing to fit"),
+    ({"study": "sim-vs-capture", "model_kinds": ("mlp",)}, "cannot fit"),
     ({"study": "height-generalization", "model_kinds": ("forest", "mlp")},
-     "nothing to fit"),
+     "cannot fit"),
     ({"study": "height-generalization", "model_kinds": ("gbt", "gbt")}, "repeats"),
+    # a study rejects a kind outside its set even when it could fit others
+    ({"study": "sim-vs-capture", "model_kinds": ("gbt", "mlp")}, "cannot fit"),
+    ({"study": "height-generalization", "model_kinds": ("tree", "gbt")}, "cannot fit"),
 ])
 def test_study_config_rejects_what_a_run_would(fields, match):
     with pytest.raises(ValueError, match=match):
@@ -520,6 +523,15 @@ def test_study_config_validation():
     echo = cfg.echo()
     assert echo["study"] == "model-selection"
     assert echo["heights_capture"] == [1.3, 1.66]
+
+
+@pytest.mark.parametrize("study, kinds", [
+    ("model-selection", ["forest", "gbt", "mlp"]),
+    ("sim-vs-capture", ["forest", "gbt"]),
+    ("height-generalization", ["gbt"]),
+])
+def test_model_kinds_default_to_the_study_kinds(study, kinds):
+    assert StudyConfig(study=study).echo()["model_kinds"] == kinds
 
 
 def test_run_experiment_model_selection_micro(tmp_path, intr, panel):
@@ -547,8 +559,7 @@ def test_run_experiment_model_selection_micro(tmp_path, intr, panel):
 _MICRO = dict(seed=3, grid_extent_m=0.4, grid_spacing_m=0.4, angle_step_deg=90,
               per_location=2, test_per_location=1, heights_capture=(1.3,),
               heights_sweep_train=(1.56,), heights_test=(1.23, 1.6),
-              model_kinds=("tree", "forest", "gbt"), forest_trees=3, gbt_rounds=4,
-              gbt_depth=3)
+              forest_trees=3, gbt_rounds=4, gbt_depth=3)
 
 
 @pytest.mark.parametrize("study, heights", [
@@ -561,7 +572,8 @@ _MICRO = dict(seed=3, grid_extent_m=0.4, grid_spacing_m=0.4, angle_step_deg=90,
 def test_run_experiment_every_study_micro(tmp_path, intr, panel, study, heights):
     """Each study's report keys, in order, and the files it writes; a rerun
     writes the same bytes."""
-    cfg = StudyConfig(study=study, **_MICRO)
+    kinds = tuple(dict.fromkeys(key.split("/")[0] for key in heights))
+    cfg = StudyConfig(study=study, model_kinds=kinds, **_MICRO)
     reports = run_experiment(cfg, str(tmp_path / "a"), intr, panel)
     run_experiment(cfg, str(tmp_path / "b"), intr, panel)
     assert list(reports) == list(heights)

@@ -8,11 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import nadir_pose, rng
-from helpers import distance_to_quad_edges, point_in_convex_quad, reference_refill
+from helpers import (
+    distance_to_quad_edges,
+    point_in_convex_quad,
+    reference_pixel_noise,
+    reference_refill,
+)
 from vlp.codec import dm_encode
 from vlp.errors import MalformedFrame
 from vlp.geometry import Attitude, CameraIntrinsics, Pose, Vec3, canonical_order
 from vlp.render import (
+    NOISE_MARGIN_PX,
     Frame,
     FrameMeta,
     Waveform,
@@ -24,6 +30,7 @@ from vlp.render import (
     row_exposure_fractions,
     write_pgm,
 )
+from vlp.vision import extract_corners
 
 
 def test_frame_meta_defaults():
@@ -215,15 +222,79 @@ def test_corner_jitter_matches_reference_refill(intr, panel):
                                           jittered[canonical_order(jittered)])
 
 
+def _window_mask(quad, shape) -> np.ndarray:
+    """Pixels within NOISE_MARGIN_PX of the quad's pixel bounding box."""
+    (u0, v0), (u1, v1) = quad.points.min(axis=0), quad.points.max(axis=0)
+    rows = np.arange(shape[0])[:, None]
+    cols = np.arange(shape[1])[None, :]
+    return ((rows >= np.floor(v0) - NOISE_MARGIN_PX) & (rows < np.ceil(v1) + NOISE_MARGIN_PX)
+            & (cols >= np.floor(u0) - NOISE_MARGIN_PX) & (cols < np.ceil(u1) + NOISE_MARGIN_PX))
+
+
 def test_pixel_noise_pedestal_and_sigma(intr, panel):
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.3), panel, 1.0)
     noisy = add_capture_noise(frame, 0.0, 5.0, 7)
-    backdrop = noisy.pixels[:500, :500].astype(np.float64)
+    # background noise is drawn in the window's margin: in it, off the quad
+    margin = _window_mask(frame.quad, frame.pixels.shape) & (frame.pixels == 0)
+    backdrop = noisy.pixels[margin].astype(np.float64)
     # pedestal of 3 sigma keeps the background two-sided around 15
     assert backdrop.mean() == pytest.approx(15.0, abs=0.15)
     assert backdrop.std() == pytest.approx(5.0, rel=0.03)
+    # the far background is the bare pedestal
+    assert (noisy.pixels[:500, :500] == 15).all()
     # the saturated interior cannot exceed full scale
     assert noisy.pixels.max() == 255
+
+
+def test_pixel_noise_stays_in_the_window(intr, panel):
+    """Outside the jittered quad's window every pixel is the pedestal, for
+    plain, striped and sensor-clipped panels; inside, it is noisy."""
+    g = rng(29)
+    pose_edge = nadir_pose(0.5, 0.0, 1.3)  # panel cut by the sensor edge
+    for pose in (nadir_pose(0.1, -0.2, 1.6), pose_edge):
+        base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+        wave = dm_encode(int(g.integers(256)))
+        striped = apply_rolling_shutter(base, base.quad, wave,
+                                        phase_us=float(g.uniform(0.0, wave.period_us)))
+        for frame in (base, striped):
+            noisy = add_capture_noise(frame, 1.0, 5.1, g)
+            inside = _window_mask(noisy.quad, frame.pixels.shape)
+            assert (noisy.pixels[~inside] == 15).all()
+            assert noisy.pixels[inside & (frame.pixels == 0)].std() > 4.0
+        if pose is pose_edge:  # its window really meets the sensor edge
+            assert inside[:, 0].any()
+
+
+def test_frame_without_quad_gets_whole_frame_noise(tmp_path, intr, panel):
+    """A frame read from disk has no quad: its noise equals the written-out
+    whole-frame draw from the generator's first child, bit for bit."""
+    pose = nadir_pose(0.2, 0.1, 1.3)
+    base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+    path = tmp_path / "plain.pgm"
+    write_pgm(base, path)
+    frame = read_pgm(path)
+    for sigma, seed in ((5.1, 3), (2.0, 8)):
+        want = reference_pixel_noise(frame.pixels, sigma, rng(seed).spawn(1)[0])
+        for given in (seed, rng(seed)):
+            noisy = add_capture_noise(frame, 0.0, sigma, given)
+            assert noisy.quad is None
+            np.testing.assert_array_equal(noisy.pixels, want)
+
+
+def test_pixel_noise_never_moves_saturated_corners(intr, panel):
+    """On a saturated panel pixel noise cannot flip the mask, and it draws
+    from a child stream: jitter plus noise gives the same quad and corners
+    as jitter alone with the same seed, and leaves the caller's generator
+    where jitter alone leaves it."""
+    frame = rasterize_panel(intr, nadir_pose(0.1, 0.2, 1.3), panel, 1.0)
+    for seed in range(5):
+        g_noisy, g_plain = rng(seed), rng(seed)
+        noisy = add_capture_noise(frame, 1.0, 5.1, g_noisy)
+        plain = add_capture_noise(frame, 1.0, 0.0, g_plain)
+        np.testing.assert_array_equal(noisy.quad.points, plain.quad.points)
+        np.testing.assert_array_equal(extract_corners(noisy).points,
+                                      extract_corners(plain).points)
+        assert g_noisy.normal() == g_plain.normal()
 
 
 def test_capture_noise_is_deterministic(intr, panel):
