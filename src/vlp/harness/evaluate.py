@@ -8,11 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EmptyTestSet
+from ..learn.model import AXES
 from .sweep import Dataset
 
 __all__ = ["EvalReport", "evaluate"]
-
-AXES = ("x", "y", "z")
 
 
 @dataclass
@@ -47,9 +46,7 @@ def evaluate(model, test: Dataset, *, config: dict | None = None) -> EvalReport:
     eaxis = 100.0 * np.abs(diff)
 
     per_grid = []
-    for h, i, j in test.group_keys():
-        rows = np.flatnonzero((test.height_m == h) & (test.grid_i == i)
-                              & (test.grid_j == j))
+    for (h, i, j), rows in test.locations():
         per_grid.append({
             "height_m": h,
             "grid_i": i,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,11 +189,14 @@ class Dataset:
             np.concatenate([p.clean_features for p in parts]) if has_clean else None,
         )
 
-    def group_keys(self) -> list[tuple[float, int, int]]:
-        """Sorted distinct (height, grid_i, grid_j) location keys."""
+    def locations(self) -> Iterator[tuple[tuple[float, int, int], np.ndarray]]:
+        """Yield ((height, grid_i, grid_j), rows) per distinct location, in
+        sorted key order, rows being the indices of the location's rows."""
         keys = {(float(h), int(i), int(j))
                 for h, i, j in zip(self.height_m, self.grid_i, self.grid_j)}
-        return sorted(keys)
+        for h, i, j in sorted(keys):
+            yield (h, i, j), np.flatnonzero((self.height_m == h) & (self.grid_i == i)
+                                            & (self.grid_j == j))
 
     CSV_HEADER = ("x,y,z,roll,pitch,yaw,grid_i,grid_j,height,"
                   "u1,v1,u2,v2,u3,v3,u4,v4")
@@ -401,10 +405,7 @@ def split(ds: Dataset, test_per_location: int, seed=None) -> tuple[Dataset, Data
         raise ValueError("test_per_location must be >= 0")
     rng = np.random.default_rng(seed)
     test_mask = np.zeros(len(ds), dtype=bool)
-    for key in ds.group_keys():
-        h, i, j = key
-        rows = np.flatnonzero((ds.height_m == h) & (ds.grid_i == i)
-                              & (ds.grid_j == j))
+    for (h, i, j), rows in ds.locations():
         if rows.size < test_per_location:
             raise InsufficientRows(
                 f"location (h={h}, i={i}, j={j}) has {rows.size} rows, "

@@ -83,10 +83,12 @@ class Frame:
 
     Frames synthesized in-process also carry their generation provenance:
     the projected quad, the fill value and the per-row shutter factors.
-    Capture noise re-rasterizes a jittered quad from them, and draws pixel
-    noise only in a window around the quad, since a rendered frame is black
-    outside it. Frames loaded from disk have none, so their noise covers
-    the whole frame.
+    Every synthesis step renders from it through one quad renderer: the
+    shutter renders a quad at the fill with its row factors, corner jitter
+    renders the jittered quad with the stored factors, and pixel noise is
+    drawn only in a window around the quad, since a rendered frame is black
+    outside it. Frames loaded from disk have none: they take neither the
+    shutter nor corner jitter, and their pixel noise covers the whole frame.
     """
 
     __slots__ = ("pixels", "meta", "quad", "fill", "row_factors")
@@ -234,30 +236,20 @@ def _quad_row_spans(points: np.ndarray, width: int, height: int):
     return row_lo, row_hi, col_lo, col_hi
 
 
-def _fill_quad(shape: tuple[int, int], points: np.ndarray, fill: int) -> np.ndarray:
+def _render_quad(shape: tuple[int, int], points: np.ndarray, fill: int,
+                 row_factors: np.ndarray | None = None) -> np.ndarray:
     """A zero uint8 raster of shape (height, width) with the quad's covered
-    pixel centers set to fill."""
+    pixel centers on row r set to fill, or to rint(fill * row_factors[r])
+    when per-row factors are given."""
     px = np.zeros(shape, dtype=np.uint8)
     row_lo, row_hi, col_lo, col_hi = _quad_row_spans(points, shape[1], shape[0])
+    levels = np.full(row_hi - row_lo, fill, dtype=np.float64)
+    if row_factors is not None:
+        levels = np.rint(levels * row_factors[row_lo:row_hi])
     for idx, r in enumerate(range(row_lo, row_hi)):
         if col_hi[idx] >= col_lo[idx]:
-            px[r, col_lo[idx] : col_hi[idx] + 1] = fill
+            px[r, col_lo[idx] : col_hi[idx] + 1] = levels[idx]
     return px
-
-
-def _scale_rows(px: np.ndarray, points: np.ndarray, factors: np.ndarray) -> None:
-    """Multiply, in place, the rows of px that the quad covers by their
-    factors, rounding to the nearest level. Only the quad's rows and column
-    band are touched."""
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(points, px.shape[1], px.shape[0])
-    c0, c1 = col_lo.min(initial=px.shape[1]), col_hi.max(initial=-1)
-    # In bands of 128 rows: a float64 copy of the whole panel (about 5 MB)
-    # is a fresh mapping whose pages fault in on every call.
-    for r in range(row_lo, row_hi, 128):
-        rows = slice(r, min(r + 128, row_hi))
-        block = px[rows, c0 : c1 + 1].astype(np.float64)
-        block *= factors[rows, None]
-        px[rows, c0 : c1 + 1] = np.rint(block, out=block)
 
 
 def rasterize_panel(intr: CameraIntrinsics, pose: Pose, panel: LedPanel,
@@ -270,7 +262,7 @@ def rasterize_panel(intr: CameraIntrinsics, pose: Pose, panel: LedPanel,
     """
     quad = project_panel_corners(intr, pose, panel)
     fill = int(round(255.0 * brightness))
-    px = _fill_quad((intr.height_px, intr.width_px), quad.points, fill)
+    px = _render_quad((intr.height_px, intr.width_px), quad.points, fill)
     px.flags.writeable = False
     meta = FrameMeta(intr.exposure_us, intr.row_readout_us, intr.iso_gain)
     return Frame(px, meta, quad=quad, fill=fill)
@@ -301,19 +293,23 @@ def row_exposure_fractions(w: Waveform, row_starts_us: np.ndarray, exposure_us: 
 
 def apply_rolling_shutter(frame: Frame, quad: CornerSet, w: Waveform, *,
                           phase_us: float = 0.0) -> Frame:
-    """Scale each panel pixel of row r by the row's waveform exposure fraction.
+    """Render quad at the frame's fill with each row r scaled by the row's
+    waveform exposure fraction, rounded to the nearest level.
 
     Row r starts exposing at t = r * row_readout_us + phase_us. Captures are
     unsynchronized, so callers draw the phase over one waveform period.
-    Background pixels stay 0.
+    Background pixels are 0. The frame gives the fill, the meta and the
+    shape; its pixels are not read. A frame without generation provenance
+    (read from disk) raises ValueError.
     """
+    if frame.fill is None:
+        raise ValueError("the rolling shutter requires a frame with generation provenance")
     meta = frame.meta
     starts = np.arange(frame.height_px, dtype=np.float64) * meta.row_readout_us + phase_us
     factors = row_exposure_fractions(w, starts, meta.exposure_us)
-    px = frame.pixels.copy()
-    _scale_rows(px, quad.points, factors)
+    px = _render_quad(frame.pixels.shape, quad.points, frame.fill, factors)
     px.flags.writeable = False
-    return Frame(px, meta, quad=frame.quad, fill=frame.fill, row_factors=factors)
+    return Frame(px, meta, quad=quad, fill=frame.fill, row_factors=factors)
 
 
 def _noise_window(quad: CornerSet | None, shape: tuple[int, int]) -> tuple[slice, slice]:
@@ -332,8 +328,10 @@ def _noise_window(quad: CornerSet | None, shape: tuple[int, int]) -> tuple[slice
 def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
                       seed) -> Frame:
     """Capture imperfection model: quad corners jittered by an isotropic
-    Gaussian (re-rasterized from provenance), then a black-level pedestal of
-    3 * pixel_sigma plus Gaussian pixel noise, clipped to [0, 255].
+    Gaussian (the jittered quad rendered at the frame's fill and row
+    factors), then a black-level pedestal of 3 * pixel_sigma plus Gaussian
+    pixel noise, clipped to [0, 255]. Corner jitter on a frame without
+    generation provenance raises ValueError.
 
     The pedestal keeps the background noise two-sided, so its sample std
     matches pixel_sigma instead of the half-clipped value. Pixel noise is
@@ -346,6 +344,8 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     window. A frame without a quad gets noise everywhere.
 
     Zero sigma and zero jitter return the input frame bit-identically.
+    seed is anything np.random.default_rng takes; a Generator is used as
+    is, so an int seed and default_rng of that int give the same frame.
     Deterministic for a fixed seed: the jitter is drawn from the generator
     first, and the pixel noise from a child generator spawned from it, so
     the jittered quad does not depend on the window's size or on sigma.
@@ -354,15 +354,13 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
         raise ValueError("noise magnitudes must be non-negative")
     if corner_jitter_px == 0 and pixel_sigma == 0:
         return frame
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     quad = frame.quad
     if corner_jitter_px > 0:
         if frame.quad is None or frame.fill is None:
             raise ValueError("corner jitter requires a frame with generation provenance")
         jittered = frame.quad.points + rng.normal(0.0, corner_jitter_px, size=(4, 2))
-        px = _fill_quad(frame.pixels.shape, jittered, frame.fill)
-        if frame.row_factors is not None:
-            _scale_rows(px, jittered, frame.row_factors)
+        px = _render_quad(frame.pixels.shape, jittered, frame.fill, frame.row_factors)
         quad = CornerSet(jittered[canonical_order(jittered)])
     else:
         px = frame.pixels

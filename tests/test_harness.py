@@ -143,6 +143,17 @@ def test_dataset_validation_and_len():
     assert len(ds) == 2
 
 
+def test_dataset_locations_in_sorted_key_order():
+    ds = Dataset(np.zeros((6, 8)), np.zeros((6, 3)), [1, 0, 1, 0, 2, 0],
+                 [0, 3, 0, 1, 0, 3], [1.66, 1.3, 1.66, 1.66, 1.3, 1.3],
+                 np.zeros((6, 3)), "clean-sim")
+    got = [(key, rows.tolist()) for key, rows in ds.locations()]
+    assert got == [((1.3, 0, 3), [1, 5]), ((1.3, 2, 0), [4]),
+                   ((1.66, 0, 1), [3]), ((1.66, 1, 0), [0, 2])]
+    assert list(Dataset(np.empty((0, 8)), np.empty((0, 3)), [], [], [],
+                        np.empty((0, 3)), "clean-sim").locations()) == []
+
+
 def test_dataset_csv_round_trip(tmp_path, intr, panel):
     ds = generate_sweep(SweepSpec((1.3,), angle_step_deg=90,
                                   grid=GridSpec(0.4, 0.2)), intr, panel)
@@ -231,8 +242,8 @@ def test_dataset_subset_and_concatenate(intr, panel):
     assert len(low) + len(high) == len(ds)
     rejoined = Dataset.concatenate([low, high])
     assert len(rejoined) == len(ds)
-    keys = {(h, i, j) for h, i, j in rejoined.group_keys()}
-    assert keys == set(ds.group_keys())
+    keys = [key for key, _ in rejoined.locations()]
+    assert keys == [key for key, _ in ds.locations()]
 
 
 def test_split_partitions_per_location(intr, panel):
@@ -242,11 +253,9 @@ def test_split_partitions_per_location(intr, panel):
     assert len(ds) == 16 and ds.dropped == 0
     train, test = split(ds, test_per_location=1, seed=11)
     assert len(train) == 12 and len(test) == 4
-    for key in ds.group_keys():
-        h, i, j = key
-        n_test = int(((test.height_m == h) & (test.grid_i == i)
-                      & (test.grid_j == j)).sum())
-        assert n_test == 1
+    for _, rows in test.locations():
+        assert rows.size == 1
+    assert [key for key, _ in test.locations()] == [key for key, _ in ds.locations()]
     a = split(ds, test_per_location=1, seed=11)[1]
     np.testing.assert_array_equal(a.features, test.features)
     with pytest.raises(InsufficientRows):

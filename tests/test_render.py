@@ -185,6 +185,34 @@ def test_shutter_rows_follow_exposure_fractions(intr, panel):
     np.testing.assert_array_equal(inner[800:1200], inner[840:1240])
 
 
+def test_shutter_matches_reference_refill(intr, panel):
+    """The striped frame is its quad rendered in one piece at the frame's
+    fill with the row factors it carries, over seeded poses and phases."""
+    g = rng(31)
+    for dither in (0.0, 2.0, 6.0):
+        for _ in range(3):
+            pose = Pose(Vec3(*g.uniform(-0.5, 0.5, 2), float(g.uniform(1.2, 2.2))),
+                        Attitude(*g.normal(0.0, dither, 3)))
+            base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+            wave = dm_encode(int(g.integers(256)))
+            phase = float(g.uniform(0.0, wave.period_us))
+            striped = apply_rolling_shutter(base, base.quad, wave, phase_us=phase)
+            assert striped.quad is base.quad and striped.fill == base.fill
+            starts = np.arange(base.height_px) * intr.row_readout_us + phase
+            np.testing.assert_array_equal(
+                striped.row_factors, row_exposure_fractions(wave, starts, intr.exposure_us))
+            np.testing.assert_array_equal(striped.pixels,
+                                          reference_refill(striped, striped.quad.points))
+
+
+def test_shutter_needs_generation_provenance(tmp_path, intr, panel):
+    base = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.3), panel, 1.0)
+    path = tmp_path / "plain.pgm"
+    write_pgm(base, path)
+    with pytest.raises(ValueError, match="provenance"):
+        apply_rolling_shutter(read_pgm(path), base.quad, Waveform((1, 0), 50.0))
+
+
 def test_zero_noise_returns_input_frame(intr, panel):
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.3), panel, 1.0)
     assert add_capture_noise(frame, 0.0, 0.0, 1) is frame
@@ -304,6 +332,17 @@ def test_capture_noise_is_deterministic(intr, panel):
     c = add_capture_noise(frame, 1.0, 5.0, 100)
     np.testing.assert_array_equal(a.pixels, b.pixels)
     assert not np.array_equal(a.pixels, c.pixels)
+
+
+def test_int_seed_and_its_generator_give_the_same_frame(intr, panel):
+    pose = nadir_pose(0.2, -0.1, 1.5)
+    base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+    striped = apply_rolling_shutter(base, base.quad, dm_encode(0xB6), phase_us=21.0)
+    for frame in (base, striped):
+        a = add_capture_noise(frame, 1.0, 5.1, 12)
+        b = add_capture_noise(frame, 1.0, 5.1, rng(12))
+        np.testing.assert_array_equal(a.pixels, b.pixels)
+        np.testing.assert_array_equal(a.quad.points, b.quad.points)
 
 
 def test_capture_noise_rejects_negative_magnitudes(intr, panel):

@@ -40,8 +40,6 @@ from vlp.vision import (
     binarize,
     close_mask,
     detect_corners,
-    dilate,
-    erode,
     extract_corners,
     largest_component,
 )
@@ -61,18 +59,32 @@ def test_binarize_threshold_semantics(intr, panel):
     assert binarize(frame).sum() == 0
 
 
-def test_dilate_erode_square_element():
+def test_close_mask_square_element():
     mask = np.zeros((9, 9), dtype=bool)
     mask[4, 4] = True
-    grown = dilate(mask, 1)
-    assert grown.sum() == 9
-    assert grown[3:6, 3:6].all()
-    assert erode(grown, 1).sum() == 1
-    np.testing.assert_array_equal(dilate(mask, 0), mask)
+    # a lone pixel grows to its 3 x 3 square and shrinks back
+    np.testing.assert_array_equal(close_mask(mask, 1), mask)
+    # a gap of up to 2 * radius rows is bridged, a wider one is not
+    bars = np.zeros((12, 12), dtype=bool)
+    bars[3:5, 3:8] = True
+    bars[7:9, 3:8] = True
+    closed = close_mask(bars, 1)
+    assert closed[5:7, 3:8].all() and closed.sum() == bars.sum() + 10
+    bars[5:11] = np.roll(bars[5:11], 1, axis=0)
+    np.testing.assert_array_equal(close_mask(bars, 1), bars)
+    # a pixel at the mask's corner is neither grown past nor eroded by the edge
+    corner = np.zeros((9, 9), dtype=bool)
+    corner[0, 0] = True
+    np.testing.assert_array_equal(close_mask(corner, 2), corner)
+    full = np.ones((5, 7), dtype=bool)
+    np.testing.assert_array_equal(close_mask(full, 3), full)
+    # radius 0 is a copy, not the same array
+    same = close_mask(mask, 0)
+    assert same is not mask
+    np.testing.assert_array_equal(same, mask)
+    assert close_mask(mask, 1).dtype == bool
     with pytest.raises(ValueError):
-        dilate(mask, -1)
-    with pytest.raises(ValueError):
-        erode(mask, -1)
+        close_mask(mask, -1)
 
 
 def test_close_bridges_stripe_gaps_without_growing():
