@@ -2,11 +2,14 @@
 an edge-line corner fit, and the canonical corner ordering that turns four
 pixel points into the 8-float feature vector.
 
-Masks are plain boolean arrays. The public stages take and return masks of
-any shape; extract_corners binarizes the whole frame once and runs the rest
-on one crop around the set pixels (see _padded_bbox). The corner fit works
-on the blob's boundary points, which move to frame coordinates while still
-integer indices, so the crop gives the full frame's corners bit for bit.
+A blob is held as its runs: the maximal spans of set pixels along each
+row, in row-major order. extract_corners finds the set pixels' bounding
+box from the frame's row and column maxima, thresholds (and closes) only
+that crop, reads its runs off one pass over the crop's rows, labels the
+8-connected runs of adjacent rows, and takes the largest blob's boundary
+points straight from its runs. No stage builds a whole-frame mask or labels
+a pixel. Runs and boundary points carry frame coordinates as integers until
+the exact 0.5 steps, so a crop gives the full frame's corners bit for bit.
 Corner coordinates use the same continuous pixel convention as the
 projector: pixel (r, c) covers the unit square centered at (c + 0.5,
 r + 0.5).
@@ -15,7 +18,7 @@ r + 0.5).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage, spatial
+from scipy import spatial
 
 from .errors import EmptyMask, SaturatedFrame, TooFewCorners, VisionFailure
 from .geometry import CornerSet, order_corners
@@ -31,11 +34,15 @@ __all__ = [
     "extract_corners",
 ]
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 THRESHOLD = 128          # binarization level, gray
 EDGE_TRIM_PX = 6.0       # side fits leave out boundary points this near a corner
 SEED_PX = 1.0            # a hull edge's support: side points this near it
 OUTLIER_PX = 2.0         # a side's fit keeps points this near its seed edge
+
+# A blob's runs: (row, start, end) int arrays, one entry per maximal span of
+# set pixels along a row, in row-major order, with end one past the span's
+# last column; all in frame coordinates.
+Runs = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def binarize(frame: Frame) -> np.ndarray:
@@ -48,29 +55,112 @@ def close_mask(mask: np.ndarray, radius_px: int) -> np.ndarray:
     merges the shutter's stripe bars into one solid blob without growing
     its outline (interior gaps close, edges stay).
 
-    Edge replication adds no value to a max or min window, since the edge
-    pixel is always in its own window, so this is dilation reading the
-    outside as False followed by erosion reading it as True.
+    Dilation reads the outside as False, erosion reads it as True.
     """
     if radius_px < 0:
         raise ValueError("radius must be >= 0")
     if radius_px == 0:
         return mask.copy()
-    size = 2 * radius_px + 1
-    return ndimage.grey_closing(mask, size=(size, size), mode="nearest")
+    r, size = radius_px, 2 * radius_px + 1
+    grown = _square_window(np.pad(mask, r), size, np.logical_or)
+    return _square_window(np.pad(grown, r, constant_values=True), size, np.logical_and)
 
 
-def _padded_bbox(mask: np.ndarray, pad: int) -> tuple[slice, slice]:
-    """Row and column slices of the set pixels' bounding box, grown by pad
-    on every side and clipped at the mask's edge. Raises EmptyMask when no
-    pixel is set."""
-    rows = np.flatnonzero(mask.any(axis=1))
+def _square_window(a: np.ndarray, size: int, op) -> np.ndarray:
+    """op (logical or / and) over every size x size window of a that lies
+    inside it, so each side shrinks by size - 1: a dilation or erosion by a
+    square, done one axis at a time."""
+    return _row_window(_row_window(a, size, op).T, size, op).T
+
+
+def _row_window(a: np.ndarray, size: int, op) -> np.ndarray:
+    """op over every size consecutive rows of a; row i of the result
+    covers rows i to i + size - 1. Windows of 1, 2, 4, ... rows double up
+    to the largest power of two within size, and two of those, which
+    overlap, cover a window; an idempotent op allows the overlap."""
+    have = 1
+    while 2 * have <= size:
+        a = op(a[:-have], a[have:])
+        have *= 2
+    return op(a[: len(a) - size + have], a[size - have :])
+
+
+def _padded_bbox(image: np.ndarray, level: int, pad: int) -> tuple[slice, slice]:
+    """Row and column slices of the bounding box of the pixels >= level,
+    grown by pad on every side and clipped at the image's edge. Reads the
+    rows' maxima, then the columns' maxima within the set rows, so no mask
+    of the whole image is built. Raises EmptyMask when no pixel is set."""
+    rows = np.flatnonzero(image.max(axis=1) >= level)
     if rows.size == 0:
         raise EmptyMask("no set pixels")
-    cols = np.flatnonzero(mask.any(axis=0))
-    h, w = mask.shape
+    cols = np.flatnonzero(image[rows[0] : rows[-1] + 1].max(axis=0) >= level)
+    h, w = image.shape
     return (slice(max(0, rows[0] - pad), min(h, rows[-1] + pad + 1)),
             slice(max(0, cols[0] - pad), min(w, cols[-1] + pad + 1)))
+
+
+def _runs(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Runs:
+    """The runs of a mask whose top-left pixel sits at origin (row, col),
+    from one pass over its rows laid end to end, each followed by an unset
+    column. Raises EmptyMask when no pixel is set."""
+    h, w = mask.shape
+    flat = np.zeros(h * (w + 1) + 1, dtype=bool)  # flat[0]: unset, before row 0
+    flat[1:].reshape(h, w + 1)[:, :w] = mask
+    # each run's first set pixel, then its first unset one, in row-major order
+    edge = np.flatnonzero(flat[1:] != flat[:-1])
+    if edge.size == 0:
+        raise EmptyMask("no set pixels")
+    row, start = np.divmod(edge[0::2], w + 1)
+    end = edge[1::2] - row * (w + 1)
+    return row + origin[0], start + origin[1], end + origin[1]
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """arange(lo[i], hi[i]) for every i, concatenated."""
+    n = hi - lo
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
+def _label_runs(row: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Each run's component, as the index of the component's first run.
+
+    A run touches the runs of the row above whose spans, grown by one
+    column each way, overlap its own: 8-connectivity. A row's runs are
+    sorted and disjoint, so those runs are one contiguous index range,
+    found by binary search on row-major keys. Every label starts as its
+    own run's index and takes the lower label across each link, with
+    pointer jumping, until no link joins two labels (the run graph of He,
+    Chao and Suzuki, IEEE TIP 2008, with min-label propagation in place
+    of their union-find)."""
+    span = int(end.max()) + 1
+    key = row * span
+    above = key - span
+    lo = np.searchsorted(key + end, above + start, "left")
+    hi = np.searchsorted(key + start, above + end, "right")
+    a = np.repeat(np.arange(row.size), hi - lo)
+    b = _ranges(lo, hi)
+    label = np.arange(row.size)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while not np.array_equal(jump := label[label], label):
+            label = jump
+
+
+def _largest(row: np.ndarray, start: np.ndarray,
+             end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The runs of the 8-connected component with the most pixels, and its
+    pixel count. Ties go to the component whose first run comes first in
+    row-major order, which holds its topmost-leftmost pixel."""
+    label = _label_runs(row, start, end)
+    size = np.bincount(label, weights=end - start)  # sums of ints: exact
+    best = int(size.argmax())  # the first maximum: the lowest first run
+    keep = label == best
+    return row[keep], start[keep], end[keep], int(size[best])
 
 
 def largest_component(mask: np.ndarray) -> tuple[np.ndarray, tuple[int, int], int]:
@@ -78,36 +168,39 @@ def largest_component(mask: np.ndarray) -> tuple[np.ndarray, tuple[int, int], in
     col), count): the component cropped to its own bounding box, the box's
     top-left position in mask, and the component's pixel count.
 
-    Ties break toward the component whose topmost-leftmost pixel comes
-    first in (row, col) order: labels number components in that order, so
-    the first maximum of the counts is that component.
+    Runs the same run labelling as extract_corners. Ties break toward the
+    component whose topmost-leftmost pixel comes first in (row, col) order.
     """
-    box = _padded_bbox(mask, 0)
-    labels, _ = ndimage.label(mask[box], structure=_EIGHT_CONNECTED)
-    counts = np.bincount(labels.ravel())
-    counts[0] = 0
-    best = int(counts.argmax())
-    component = labels == best
-    rs, cs = _padded_bbox(component, 0)
-    return (component[rs, cs], (box[0].start + rs.start, box[1].start + cs.start),
-            int(counts[best]))
+    row, start, end, count = _largest(*_runs(mask))
+    r, c = int(row[0]), int(start.min())
+    blob = np.zeros((int(row[-1]) - r + 1, int(end.max()) - c), dtype=bool)
+    first = (row - r) * blob.shape[1] - c
+    blob.ravel()[_ranges(first + start, first + end)] = True
+    return blob, (r, c), count
 
 
-def _boundary_points(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
+def _boundary_points(row: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """(n, 2) frame (u, v) of the midpoints between set and unset
-    4-neighbours of a mask whose top-left pixel sits at origin (row, col).
+    4-neighbours of the pixels the runs cover; outside them, and past a
+    sensor edge the sensor's outside, counts as unset.
 
-    The mask is zero-padded by one pixel, so the outside, and past a sensor
-    edge the sensor's outside, counts as unset. Indices move to the frame
-    while still integers; the 0.5 steps are then exact, so a crop yields the
-    full frame's points, in the same row-major order, bit for bit.
-    """
-    m = np.pad(mask, 1)
-    r0, c0 = origin[0] - 1, origin[1] - 1  # frame index of padded (0, 0)
-    r, c = np.nonzero(m[:, 1:] != m[:, :-1])  # (r, c) | (r, c + 1)
-    across = np.column_stack([c + (c0 + 1), r + r0 + 0.5])
-    r, c = np.nonzero(m[1:, :] != m[:-1, :])  # (r, c) over (r + 1, c)
-    down = np.column_stack([c + c0 + 0.5, r + (r0 + 1)])
+    First each run's two ends, (start, row + 0.5) and (end, row + 0.5), in
+    run order. Then each row line v (the top edge of row v), top to
+    bottom, at u = col + 0.5 for each column, left to right, where the
+    pixels above and below differ: the exclusive or of the two rows'
+    spans, whose edges are their sorted run ends taken in pairs. This is
+    the row-major order of the pixel differences along and across rows.
+    Coordinates stay integers until the exact 0.5 steps, so the points are
+    the same bits whatever crop the runs came from."""
+    across = np.column_stack([np.column_stack([start, end]).ravel(),
+                              np.repeat(row, 2) + 0.5])
+    # each run's ends bound its columns on the line above it and the one below
+    span = int(end.max()) + 1
+    line = row * span
+    ends = np.sort(np.concatenate([line + start, line + end,
+                                   line + span + start, line + span + end]))
+    v, col = np.divmod(_ranges(ends[0::2], ends[1::2]), span)
+    down = np.column_stack([col + 0.5, v])
     return np.concatenate([across, down])
 
 
@@ -180,21 +273,10 @@ def _fit_sides(pts: np.ndarray, hull: np.ndarray, quad: np.ndarray) -> np.ndarra
                             n0[:, 0] * c - n[:, 0] * c0]) / det[:, None]
 
 
-def detect_corners(mask: np.ndarray) -> np.ndarray:
-    """The four corners of a quad-shaped blob, unordered, as a (4, 2) array
-    of sub-pixel (u, v): the widest quad on the hull of the blob's boundary
-    sorts it into four sides, and adjacent fitted side lines intersect in
-    the corners (the quad fit of fiducial detectors: Olson, ICRA 2011).
-    Raises TooFewCorners for blobs too small or thin for four sides."""
-    return _detect_corners(mask, (0, 0))
-
-
-def _detect_corners(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
-    """detect_corners on a crop whose top-left pixel sits at origin (row,
-    col) in the frame. The fit sees only frame coordinates, so corners come
-    out bit for bit as on the full mask."""
-    rs, cs = _padded_bbox(mask, 0)
-    pts = _boundary_points(mask[rs, cs], (rs.start + origin[0], cs.start + origin[1]))
+def _fit_quad(pts: np.ndarray) -> np.ndarray:
+    """The four corners fitted to boundary points pts, unordered: the
+    widest quad on their hull sorts them into four sides, and adjacent
+    fitted side lines intersect in the corners."""
     try:
         hull = pts[spatial.ConvexHull(pts).vertices]
     except spatial.QhullError:
@@ -202,6 +284,15 @@ def _detect_corners(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
     if len(hull) < 4:
         raise TooFewCorners(f"blob hull has {len(hull)} vertices, need 4")
     return _fit_sides(pts, hull, hull[_widest_subset(hull)])
+
+
+def detect_corners(mask: np.ndarray) -> np.ndarray:
+    """The four corners of a quad-shaped blob, unordered, as a (4, 2) array
+    of sub-pixel (u, v): the widest quad on the hull of the blob's boundary
+    sorts it into four sides, and adjacent fitted side lines intersect in
+    the corners (the quad fit of fiducial detectors: Olson, ICRA 2011).
+    Raises TooFewCorners for blobs too small or thin for four sides."""
+    return _fit_quad(_boundary_points(*_runs(mask)))
 
 
 def _check_quad(corners: CornerSet, count: int) -> None:
@@ -240,27 +331,28 @@ def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
 
     merge_radius closes stripe gaps first (use stripe_merge_radius when the
     frame was captured with a modulated LED; leave 0 for a steady render).
-    Every stage after binarization runs on one crop of the mask around the
-    set pixels, and the corners equal the full-frame pipeline's bit for
-    bit. Raises VisionFailure (or a subclass) when no plausible quad is
-    found; SaturatedFrame when the blob spans the sensor's full height or
-    width, whose outline is then the frame's edge.
+    Only a crop around the set pixels is thresholded; the largest blob is
+    found among its runs, and its runs give the boundary points and the
+    pixel count. The corners equal the full-frame pipeline's bit for bit.
+    Raises VisionFailure (or a subclass) when no plausible quad is found;
+    SaturatedFrame when the blob spans the sensor's full height or width,
+    whose outline is then the frame's edge.
     """
-    mask = binarize(frame)
+    pixels = frame.pixels
     # A pad of r + 1 keeps the closing exact on the crop: dilation reads only
     # set pixels, all inside, and an erosion window that reaches past a crop
     # edge also covers the crop's outermost line, more than r from every set
     # pixel and so False after dilation. Closing grows nothing past the box
     # except toward a sensor edge, where crop and frame share the edge.
-    box = _padded_bbox(mask, merge_radius + 1)
-    crop = mask[box]
+    box = _padded_bbox(pixels, THRESHOLD, merge_radius + 1)
+    crop = pixels[box] >= THRESHOLD
     if merge_radius > 0:
         crop = close_mask(crop, merge_radius)
-    blob, (r, c), count = largest_component(crop)
-    h, w = mask.shape
-    if blob.shape[0] == h or blob.shape[1] == w:
+    row, start, end, count = _largest(*_runs(crop, (box[0].start, box[1].start)))
+    h, w = pixels.shape
+    if row[-1] - row[0] + 1 == h or end.max() - start.min() == w:
         raise SaturatedFrame(f"blob spans the full height or width of the "
                              f"{w}x{h} sensor")
-    corners = order_corners(_detect_corners(blob, (box[0].start + r, box[1].start + c)))
+    corners = order_corners(_fit_quad(_boundary_points(row, start, end)))
     _check_quad(corners, count)
     return corners

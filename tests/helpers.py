@@ -234,3 +234,63 @@ def reference_pixel_noise(pixels: np.ndarray, sigma: float,
     noisy = pixels.astype(np.float64) + 3.0 * sigma
     noisy += rng.normal(0.0, sigma, size=pixels.shape)
     return np.clip(np.rint(noisy), 0.0, 255.0).astype(np.uint8)
+
+
+def reference_largest_component(mask: np.ndarray):
+    """The 8-connected component with the most pixels, by labelling every
+    pixel (scipy.ndimage.label): (blob cropped to its bounding box, (row,
+    col) of the box in mask, pixel count). Labels number components in
+    row-major order of their first pixel, so the first maximum of the
+    counts breaks ties toward the component whose first pixel comes first.
+    Raises EmptyMask when no pixel is set."""
+    from scipy import ndimage
+
+    from vlp.errors import EmptyMask
+
+    if not mask.any():
+        raise EmptyMask("no set pixels")
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    counts = np.bincount(labels.ravel())
+    counts[0] = 0
+    best = int(counts.argmax())
+    component = labels == best
+    rows = np.flatnonzero(component.any(axis=1))
+    cols = np.flatnonzero(component.any(axis=0))
+    return (component[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1],
+            (int(rows[0]), int(cols[0])), int(counts[best]))
+
+
+def reference_boundary_points(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
+    """(n, 2) frame (u, v) of the midpoints between set and unset
+    4-neighbours of a mask whose top-left pixel sits at origin (row, col),
+    from pixel differences of the mask zero-padded by one: first along
+    rows, then across them, each in row-major order. Indices move to the
+    frame while still integers, so the 0.5 steps are exact."""
+    m = np.pad(mask, 1)
+    r0, c0 = origin[0] - 1, origin[1] - 1  # frame index of padded (0, 0)
+    r, c = np.nonzero(m[:, 1:] != m[:, :-1])  # (r, c) | (r, c + 1)
+    across = np.column_stack([c + (c0 + 1), r + r0 + 0.5])
+    r, c = np.nonzero(m[1:, :] != m[:-1, :])  # (r, c) over (r + 1, c)
+    down = np.column_stack([c + c0 + 0.5, r + (r0 + 1)])
+    return np.concatenate([across, down])
+
+
+def reference_extract_corners(frame, merge_radius: int = 0):
+    """vlp.vision.extract_corners on whole-frame pixel masks: threshold the
+    whole frame, close the whole mask, label every pixel, and take the
+    boundary points from pixel differences; then the same quad fit and
+    checks."""
+    from vlp.errors import SaturatedFrame
+    from vlp.geometry import order_corners
+    from vlp.vision import THRESHOLD, _check_quad, _fit_quad, close_mask
+
+    mask = frame.pixels >= THRESHOLD
+    if merge_radius > 0:
+        mask = close_mask(mask, merge_radius)
+    blob, origin, count = reference_largest_component(mask)
+    h, w = mask.shape
+    if blob.shape[0] == h or blob.shape[1] == w:
+        raise SaturatedFrame("blob spans the full height or width of the sensor")
+    corners = order_corners(_fit_quad(reference_boundary_points(blob, origin)))
+    _check_quad(corners, count)
+    return corners

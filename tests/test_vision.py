@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from conftest import nadir_pose, rng
+from helpers import (
+    reference_boundary_points,
+    reference_extract_corners,
+    reference_largest_component,
+)
 from vlp.codec import dm_encode, stripe_merge_radius
 from vlp.errors import EmptyMask, SaturatedFrame, TooFewCorners, VisionFailure
 from vlp.geometry import (
@@ -34,9 +39,12 @@ from vlp.render import (
 )
 from vlp.vision import (
     THRESHOLD,
+    _boundary_points,
     _check_quad,
-    _detect_corners,
+    _fit_quad,
+    _largest,
     _padded_bbox,
+    _runs,
     binarize,
     close_mask,
     detect_corners,
@@ -136,6 +144,41 @@ def test_largest_component_matches_sorted_tie_oracle():
         assert count == int(want.sum())
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_run_core_matches_pixel_oracle(data):
+    """The run core against pixel labelling and pixel differences: the same
+    largest component, origin and count, and boundary points equal in
+    order and bits, for the largest blob and for the whole mask. Masks mix
+    random pixels (several runs per row, diagonal-only contact, blobs on
+    the array's edge) with copies of one small shape, whose sizes tie."""
+    h, w = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = g.random((h, w)) < data.draw(st.sampled_from([0.0, 0.15, 0.35, 0.6]))
+    if data.draw(st.booleans()):  # a diagonal line: 8-connected only
+        k = np.arange(min(h, w))
+        mask[k, k if data.draw(st.booleans()) else w - 1 - k] = True
+    if data.draw(st.booleans()):  # copies of one shape, three apart: ties
+        shape = g.random((3, 3)) < 0.6
+        for r in range(data.draw(st.integers(0, 3)), h - 2, 6):
+            for c in range(data.draw(st.integers(0, 3)), w - 2, 6):
+                mask[r : r + 3, c : c + 3] = shape
+    assume(mask.any())
+    origin = (data.draw(st.integers(0, 50)), data.draw(st.integers(0, 50)))
+    whole = _boundary_points(*_runs(mask, origin))
+    assert whole.tobytes() == reference_boundary_points(mask, origin).tobytes()
+    blob, (r, c), count = largest_component(mask)
+    want_blob, (want_r, want_c), want_count = reference_largest_component(mask)
+    assert ((r, c), count) == ((want_r, want_c), want_count)
+    np.testing.assert_array_equal(blob, want_blob)
+    row, start, end, count = _largest(*_runs(mask, origin))
+    assert count == want_count
+    got = _boundary_points(row, start, end)
+    want = reference_boundary_points(want_blob, (want_r + origin[0], want_c + origin[1]))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_detect_corners_subpixel_on_ideal_square(intr, panel):
     # the 1.19 m nadir view projects to the square [464, 1264] x [752, 1552]
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.19), panel, 1.0)
@@ -167,13 +210,14 @@ def test_detect_corners_moves_with_the_blob(intr, panel):
     frame = rasterize_panel(intr, Pose(pos, _draw_attitude(g, pos, 20.0, 12.0)),
                             panel, 1.0)
     full = binarize(frame)
-    blob = full[_padded_bbox(full, 0)]
+    blob = full[_padded_bbox(full, True, 0)]
     corners = []
     for dr, dc in ((3, 5), (1203, 1871)):
         mask = np.zeros((blob.shape[0] + 1300, blob.shape[1] + 1900), dtype=bool)
         mask[dr : dr + blob.shape[0], dc : dc + blob.shape[1]] = blob
         corners.append(detect_corners(mask))
-        crop = _detect_corners(mask[dr - 2 :, dc - 1 :], (dr - 2, dc - 1))
+        crop = _fit_quad(_boundary_points(*_runs(mask[dr - 2 :, dc - 1 :],
+                                                 (dr - 2, dc - 1))))
         np.testing.assert_array_equal(crop, corners[-1])
     np.testing.assert_allclose(corners[1] - corners[0], [[1866, 1200]] * 4,
                                rtol=0, atol=1e-9)
@@ -244,8 +288,9 @@ def test_extract_corners_through_stripes(intr, panel):
 
 def test_extract_corners_empty_frame_raises(intr, panel):
     dark = Frame(np.zeros((2304, 1728), dtype=np.uint8), FrameMeta())
-    with pytest.raises(EmptyMask):
-        extract_corners(dark)
+    for radius in (0, stripe_merge_radius(intr)):
+        with pytest.raises(EmptyMask):
+            extract_corners(dark, merge_radius=radius)
 
 
 def test_disc_is_rejected_as_non_quad():
@@ -283,10 +328,27 @@ def test_closing_padded_bbox_crop_matches_full_mask(data):
     holes = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask &= holes.random(mask.shape) < data.draw(st.sampled_from([1.0, 0.9, 0.6]))
     assume(mask.any())
-    box = _padded_bbox(mask, radius + 1)
+    box = _padded_bbox(mask, True, radius + 1)
     pasted = np.zeros_like(mask)
     pasted[box] = close_mask(mask[box], radius)
     np.testing.assert_array_equal(pasted, close_mask(mask, radius))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_close_mask_matches_ndimage_closing(data):
+    """The one-axis-at-a-time closing against scipy's grey closing, whose
+    "nearest" edge mode reads the outside as unset for the dilation and as
+    set for the erosion."""
+    h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    radius = data.draw(st.integers(1, 9))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = g.random((h, w)) < data.draw(st.sampled_from([0.05, 0.3, 0.7, 0.95]))
+    size = 2 * radius + 1
+    want = ndimage.grey_closing(mask, size=(size, size), mode="nearest")
+    got = close_mask(mask, radius)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, want)
 
 
 def test_closing_crop_pad_of_r_grows_the_blob():
@@ -294,7 +356,7 @@ def test_closing_crop_pad_of_r_grows_the_blob():
     r, erosion reads the crop's outside as set right next to the blob."""
     mask = np.zeros((30, 30), dtype=bool)
     mask[10:20, 10:20] = True
-    box = _padded_bbox(mask, 2)
+    box = _padded_bbox(mask, True, 2)
     assert close_mask(mask[box], 2).sum() > close_mask(mask, 2).sum() == 100
 
 
@@ -368,6 +430,36 @@ def test_extract_corners_matches_rendered_quad(intr, panel):
                         for merged in ("", " merged")]
 
 
+def test_extract_corners_matches_pixel_oracle_bit_for_bit(intr, panel):
+    """Runs against whole-frame pixel masks, through the same quad fit:
+    plain and striped noisy frames at the decode heights give the same
+    corner bits, or the same typed failure."""
+    merge = stripe_merge_radius(intr)
+    g = rng(77)
+    checked = 0
+    for height in (1.23, 1.3, 1.6, 1.66):
+        for _ in range(2):
+            pose = nadir_pose(float(g.uniform(-0.15, 0.15)),
+                              float(g.uniform(-0.15, 0.15)), height,
+                              yaw=float(g.uniform(0.0, 360.0)))
+            base = rasterize_panel(intr, pose, panel,
+                                   base_brightness(pose, panel, intr))
+            striped = apply_rolling_shutter(base, base.quad, dm_encode(0x5A),
+                                            phase_us=float(g.uniform(0.0, 800.0)))
+            for frame, radius in ((add_capture_noise(base, 1.0, 5.1, g), 0),
+                                  (add_capture_noise(striped, 1.0, 5.1, g), merge)):
+                try:
+                    want = reference_extract_corners(frame, radius).points
+                except VisionFailure as exc:
+                    with pytest.raises(type(exc)):
+                        extract_corners(frame, merge_radius=radius)
+                    continue
+                got = extract_corners(frame, merge_radius=radius).points
+                assert got.tobytes() == want.tobytes(), (height, radius)
+                checked += 1
+    assert checked == 16
+
+
 @pytest.mark.parametrize("band", ["all", "rows", "cols"])
 def test_saturated_frame_raises(intr, band):
     px = np.zeros((intr.height_px, intr.width_px), dtype=np.uint8)
@@ -377,8 +469,9 @@ def test_saturated_frame_raises(intr, band):
         px[:, 500:900] = 255  # full-height band
     else:
         px[1000:1400, :] = 255  # full-width band
-    with pytest.raises(SaturatedFrame, match="full height or width"):
-        extract_corners(Frame(px, FrameMeta()))
+    for radius in (0, stripe_merge_radius(intr)):
+        with pytest.raises(SaturatedFrame, match="full height or width"):
+            extract_corners(Frame(px, FrameMeta()), merge_radius=radius)
 
 
 def test_panel_clipped_at_one_corner_is_not_saturated(intr, panel):
