@@ -55,15 +55,19 @@ def close_mask(mask: np.ndarray, radius_px: int) -> np.ndarray:
     merges the shutter's stripe bars into one solid blob without growing
     its outline (interior gaps close, edges stay).
 
-    Dilation reads the outside as False, erosion reads it as True.
+    The mask closes as if it went on unset past its edges, as the scene
+    goes on dark past a sensor's: a gap between a blob and the edge stays
+    open, and a crop that holds every set pixel closes as the whole mask
+    does.
     """
     if radius_px < 0:
         raise ValueError("radius must be >= 0")
     if radius_px == 0:
         return mask.copy()
-    r, size = radius_px, 2 * radius_px + 1
-    grown = _square_window(np.pad(mask, r), size, np.logical_or)
-    return _square_window(np.pad(grown, r, constant_values=True), size, np.logical_and)
+    # the dilation reaches radius past the edges, and the erosion reads it there
+    size = 2 * radius_px + 1
+    grown = _square_window(np.pad(mask, 2 * radius_px), size, np.logical_or)
+    return _square_window(grown, size, np.logical_and)
 
 
 def _square_window(a: np.ndarray, size: int, op) -> np.ndarray:
@@ -85,18 +89,16 @@ def _row_window(a: np.ndarray, size: int, op) -> np.ndarray:
     return op(a[: len(a) - size + have], a[size - have :])
 
 
-def _padded_bbox(image: np.ndarray, level: int, pad: int) -> tuple[slice, slice]:
-    """Row and column slices of the bounding box of the pixels >= level,
-    grown by pad on every side and clipped at the image's edge. Reads the
-    rows' maxima, then the columns' maxima within the set rows, so no mask
-    of the whole image is built. Raises EmptyMask when no pixel is set."""
+def _bbox(image: np.ndarray, level: int) -> tuple[slice, slice]:
+    """Row and column slices of the bounding box of the pixels >= level.
+    Reads the rows' maxima, then the columns' maxima within the set rows,
+    so no mask of the whole image is built. Raises EmptyMask when no pixel
+    is set."""
     rows = np.flatnonzero(image.max(axis=1) >= level)
     if rows.size == 0:
         raise EmptyMask("no set pixels")
     cols = np.flatnonzero(image[rows[0] : rows[-1] + 1].max(axis=0) >= level)
-    h, w = image.shape
-    return (slice(max(0, rows[0] - pad), min(h, rows[-1] + pad + 1)),
-            slice(max(0, cols[0] - pad), min(w, cols[-1] + pad + 1)))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
 def _runs(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Runs:
@@ -339,12 +341,10 @@ def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
     whose outline is then the frame's edge.
     """
     pixels = frame.pixels
-    # A pad of r + 1 keeps the closing exact on the crop: dilation reads only
-    # set pixels, all inside, and an erosion window that reaches past a crop
-    # edge also covers the crop's outermost line, more than r from every set
-    # pixel and so False after dilation. Closing grows nothing past the box
-    # except toward a sensor edge, where crop and frame share the edge.
-    box = _padded_bbox(pixels, THRESHOLD, merge_radius + 1)
+    # The crop closes as the whole frame does: a closing sets no pixel
+    # outside the set pixels' box, and reads past the crop's edge as unset,
+    # as past the sensor's.
+    box = _bbox(pixels, THRESHOLD)
     crop = pixels[box] >= THRESHOLD
     if merge_radius > 0:
         crop = close_mask(crop, merge_radius)

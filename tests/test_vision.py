@@ -43,7 +43,7 @@ from vlp.vision import (
     _check_quad,
     _fit_quad,
     _largest,
-    _padded_bbox,
+    _bbox,
     _runs,
     binarize,
     close_mask,
@@ -86,6 +86,10 @@ def test_close_mask_square_element():
     np.testing.assert_array_equal(close_mask(corner, 2), corner)
     full = np.ones((5, 7), dtype=bool)
     np.testing.assert_array_equal(close_mask(full, 3), full)
+    # a gap between a blob and the edge stays open: the outside is unset
+    near = np.zeros((9, 9), dtype=bool)
+    near[2:7, 3:7] = True
+    np.testing.assert_array_equal(close_mask(near, 3), near)
     # radius 0 is a copy, not the same array
     same = close_mask(mask, 0)
     assert same is not mask
@@ -210,7 +214,7 @@ def test_detect_corners_moves_with_the_blob(intr, panel):
     frame = rasterize_panel(intr, Pose(pos, _draw_attitude(g, pos, 20.0, 12.0)),
                             panel, 1.0)
     full = binarize(frame)
-    blob = full[_padded_bbox(full, True, 0)]
+    blob = full[_bbox(full, True)]
     corners = []
     for dr, dc in ((3, 5), (1203, 1871)):
         mask = np.zeros((blob.shape[0] + 1300, blob.shape[1] + 1900), dtype=bool)
@@ -311,9 +315,10 @@ def test_check_quad_rejects_reflex_corner():
 @settings(max_examples=300)
 @given(st.data())
 def test_closing_padded_bbox_crop_matches_full_mask(data):
-    """extract_corners closes a crop of the set pixels' bounding box padded
-    by r + 1; pasted back, it must equal the closing of the whole mask,
-    also where blobs touch the mask's border."""
+    """extract_corners closes the crop of the set pixels' bounding box, or
+    any crop holding it; pasted back, it must equal the closing of the
+    whole mask, also where blobs touch or come near the mask's border:
+    crop and mask both read past their edges as unset."""
     h, w = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 64))
     radius = data.draw(st.integers(0, 6))
     mask = np.zeros((h, w), dtype=bool)
@@ -321,14 +326,17 @@ def test_closing_padded_bbox_crop_matches_full_mask(data):
         r0, c0 = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
         r1, c1 = data.draw(st.integers(r0, h - 1)), data.draw(st.integers(c0, w - 1))
         mask[r0 : r1 + 1, c0 : c1 + 1] = True
-    border = data.draw(st.sampled_from([None, 0, -1]))
-    if border is not None:
+    border = data.draw(st.sampled_from([None, 0, 1, -1, -2]))
+    if border is not None and -min(h, w) <= border < min(h, w):
         mask[border, :] |= data.draw(st.booleans())
         mask[:, border] |= data.draw(st.booleans())
     holes = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask &= holes.random(mask.shape) < data.draw(st.sampled_from([1.0, 0.9, 0.6]))
     assume(mask.any())
-    box = _padded_bbox(mask, True, radius + 1)
+    rows, cols = _bbox(mask, True)
+    pad = data.draw(st.integers(0, radius + 1))
+    box = (slice(max(0, rows.start - pad), rows.stop + pad),
+           slice(max(0, cols.start - pad), cols.stop + pad))
     pasted = np.zeros_like(mask)
     pasted[box] = close_mask(mask[box], radius)
     np.testing.assert_array_equal(pasted, close_mask(mask, radius))
@@ -337,27 +345,56 @@ def test_closing_padded_bbox_crop_matches_full_mask(data):
 @settings(max_examples=200)
 @given(st.data())
 def test_close_mask_matches_ndimage_closing(data):
-    """The one-axis-at-a-time closing against scipy's grey closing, whose
-    "nearest" edge mode reads the outside as unset for the dilation and as
-    set for the erosion."""
+    """The one-axis-at-a-time closing against scipy's grey closing of the
+    mask inside a border of unset pixels wider than the element: past its
+    edges the mask goes on unset."""
     h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
     radius = data.draw(st.integers(1, 9))
     g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask = g.random((h, w)) < data.draw(st.sampled_from([0.05, 0.3, 0.7, 0.95]))
     size = 2 * radius + 1
-    want = ndimage.grey_closing(mask, size=(size, size), mode="nearest")
+    want = ndimage.grey_closing(np.pad(mask, size), size=(size, size))
     got = close_mask(mask, radius)
     assert got.dtype == bool
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, want[size : size + h, size : size + w])
 
 
-def test_closing_crop_pad_of_r_grows_the_blob():
-    """r + 1 is the least pad that keeps the closing exact: with a pad of
-    r, erosion reads the crop's outside as set right next to the blob."""
+def test_closing_stays_inside_the_bounding_box():
+    """The crop needs no pad: every square window through a pixel outside
+    the set pixels' bounding box can lie wholly outside it, so the closing
+    sets no such pixel, and the crop's outside reads unset as the mask's
+    does."""
     mask = np.zeros((30, 30), dtype=bool)
-    mask[10:20, 10:20] = True
-    box = _padded_bbox(mask, True, 2)
-    assert close_mask(mask[box], 2).sum() > close_mask(mask, 2).sum() == 100
+    mask[10:14, 10:20] = True
+    mask[16:20, 10:20] = True  # a 2-row gap
+    closed = close_mask(mask, 2)
+    assert closed[10:20, 10:20].all() and closed.sum() == 100
+    box = _bbox(mask, True)
+    np.testing.assert_array_equal(close_mask(mask[box], 2), closed[box])
+
+
+def test_merged_corners_near_a_sensor_edge(intr, panel):
+    """A steady panel in view within the merge radius of a sensor edge:
+    closing keeps the strip between panel and edge open, so merged corners
+    stay within 1 px of plain ones instead of snapping onto the edge. The
+    sweep runs the panel's bottom edge from 47 to 4 px above the sensor's,
+    and its top, left and right edges as near to theirs."""
+    merge = stripe_merge_radius(intr)
+    near = 0
+    poses = ([(0.0, y) for y in np.linspace(0.600, 0.635, 8)]
+             + [(0.0, -0.62), (0.0, -0.63), (0.38, 0.0), (0.4, 0.0), (-0.4, 0.0)])
+    for x, y in poses:
+        pose = nadir_pose(x, y, 1.3)
+        quad = project_panel_corners(intr, pose, panel)
+        assert in_fov(quad, intr)
+        gap = min(quad.points.min(), intr.width_px - quad.points[:, 0].max(),
+                  intr.height_px - quad.points[:, 1].max())
+        near += gap < merge
+        frame = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+        plain = extract_corners(frame).points
+        merged = extract_corners(frame, merge_radius=merge).points
+        assert np.abs(merged - plain).max() < 1.0, (x, y, gap)
+    assert near == 6
 
 
 def _oracle_frames(intr, panel):
