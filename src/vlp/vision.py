@@ -129,11 +129,12 @@ def _label_runs(row: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarr
     A run touches the runs of the row above whose spans, grown by one
     column each way, overlap its own: 8-connectivity. A row's runs are
     sorted and disjoint, so those runs are one contiguous index range,
-    found by binary search on row-major keys. Every label starts as its
-    own run's index and takes the lower label across each link, with
-    pointer jumping, until no link joins two labels (the run graph of He,
-    Chao and Suzuki, IEEE TIP 2008, with min-label propagation in place
-    of their union-find)."""
+    found by binary search on row-major keys. Every run starts as its own
+    root; each link hooks the higher of its two ends' roots onto the
+    lower, and pointer jumping points every run at its root again, until
+    no link joins two roots (the run graph of He, Chao and Suzuki, IEEE
+    TIP 2008, labelled by min-root hooking in place of their union-find).
+    Hooking roots, not runs, takes a few rounds even on a spiral."""
     span = int(end.max()) + 1
     key = row * span
     above = key - span
@@ -147,8 +148,8 @@ def _label_runs(row: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarr
         if np.array_equal(la, lb):
             return label
         low = np.minimum(la, lb)
-        np.minimum.at(label, a, low)
-        np.minimum.at(label, b, low)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
         while not np.array_equal(jump := label[label], label):
             label = jump
 

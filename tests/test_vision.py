@@ -183,6 +183,20 @@ def test_run_core_matches_pixel_oracle(data):
     assert got.tobytes() == want.tobytes()
 
 
+def test_largest_component_of_a_serpentine():
+    """One blob that winds back and forth: 41 bars, each joined to the
+    next at alternate ends, so the first run's label has to travel the
+    whole path."""
+    mask = np.zeros((60, 81), dtype=bool)
+    mask[1:59, 0::2] = True
+    for k in range(40):
+        mask[59 if k % 2 == 0 else 0, 2 * k : 2 * k + 3] = True
+    blob, origin, count = largest_component(mask)
+    want_blob, want_origin, want_count = reference_largest_component(mask)
+    assert (origin, count) == (want_origin, want_count) == ((0, 0), mask.sum())
+    np.testing.assert_array_equal(blob, want_blob)
+
+
 def test_detect_corners_subpixel_on_ideal_square(intr, panel):
     # the 1.19 m nadir view projects to the square [464, 1264] x [752, 1552]
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.19), panel, 1.0)
