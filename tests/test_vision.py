@@ -39,11 +39,11 @@ from vlp.render import (
 )
 from vlp.vision import (
     THRESHOLD,
+    _bbox,
     _boundary_points,
     _check_quad,
     _fit_quad,
     _largest,
-    _bbox,
     _runs,
     binarize,
     close_mask,
