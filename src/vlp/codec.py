@@ -171,12 +171,16 @@ def dm_decode(profile: RowProfile, row_readout_us: float, exposure_us: float,
     candidate 8-bit patterns ordered best-first (fewest boundary-rule
     violations); cyclic rotation and candidate choice are resolved by
     match_id against the deployed id set.
+
+    Raises ValueError on non-positive timing, NoTransitions when the
+    exposure covers a full bit period (the stripes wash out) or the profile
+    holds no stripes, and ProfileTooShort when it is too short to read.
     """
     if not (row_readout_us > 0 and exposure_us > 0 and bit_rate_hz > 0):
         raise ValueError("timing parameters must be positive")
     level_duration_us = 1e6 / (2.0 * bit_rate_hz)
     if exposure_us >= 2.0 * level_duration_us:
-        raise ValueError(
+        raise NoTransitions(
             "exposure covers a full bit period; stripes wash out "
             f"(exposure {exposure_us} us, bit {2 * level_duration_us} us)"
         )

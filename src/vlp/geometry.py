@@ -62,7 +62,9 @@ class Attitude:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"non-finite {name}")
-            object.__setattr__(self, name, v % 360.0)
+            v %= 360.0
+            # v % 360 of a negative v within half an ULP of 360 rounds to 360
+            object.__setattr__(self, name, 0.0 if v == 360.0 else v)
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,7 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     d = pts - centroid
     ang = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
     radius = np.hypot(d[..., 0], d[..., 1])
-    if pts.ndim == 2:
-        return np.lexsort((radius, ang))
-    # batched lexsort: angle dominates, radius breaks ties
+    # angle dominates, radius breaks ties
     return np.lexsort(np.stack([radius, ang]), axis=-1)
 
 
@@ -208,7 +208,7 @@ def attitude_matrices(angles_deg: np.ndarray) -> np.ndarray:
     of roll, pitch, yaw in degrees, shape (M, 3, 3).
 
     Each row of the stacked ``@`` chain rounds like the 3x3 product of that
-    pose alone, so a batch row equals attitude_to_matrix of the same angles
+    pose alone, so a batch row equals a one-row batch of the same angles
     bit for bit; a three-operand einsum rounds differently.
     """
     r = np.radians(np.asarray(angles_deg, dtype=np.float64))
@@ -222,9 +222,11 @@ def attitude_matrices(angles_deg: np.ndarray) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def attitude_to_matrix(att: Attitude) -> np.ndarray:
-    """Rotation matrix for an attitude: Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    return attitude_matrices(np.array([[att.roll, att.pitch, att.yaw]]))[0]
+def camera_rotations(angles_deg: np.ndarray) -> np.ndarray:
+    """Camera-to-LCS orientations, shape (M, 3, 3), for an (M, 3) array of
+    roll, pitch, yaw in degrees: each attitude on top of the fixed base
+    alignment."""
+    return attitude_matrices(angles_deg) @ BASE_ALIGNMENT
 
 
 def rotation_about_axis(axis: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -252,19 +254,15 @@ def matrix_to_attitude(r: np.ndarray) -> Attitude:
     return Attitude(roll, pitch, yaw)
 
 
-def camera_rotation(att: Attitude) -> np.ndarray:
-    """Camera-to-LCS orientation: attitude on top of the fixed base alignment."""
-    return attitude_to_matrix(att) @ BASE_ALIGNMENT
-
-
 def project_panel_corners(intr: CameraIntrinsics, pose: Pose, panel: LedPanel) -> CornerSet:
     """Project the panel's four corners and return them canonically ordered.
 
     Raises BehindCamera if any corner has non-positive camera depth.
     """
+    att = pose.attitude
     uv, valid = batch_project_points(
-        intr, pose.position.as_array()[None, :], camera_rotation(pose.attitude)[None, :, :],
-        panel.corners_lcs(),
+        intr, pose.position.as_array()[None, :],
+        camera_rotations(np.array([[att.roll, att.pitch, att.yaw]])), panel.corners_lcs(),
     )
     if not valid[0]:
         raise BehindCamera("panel corner behind the camera")

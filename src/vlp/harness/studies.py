@@ -11,7 +11,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..geometry import CameraIntrinsics, LedPanel
 from ..learn import MODEL_KINDS, fit_forest, fit_gbt, fit_mlp, fit_position_model
 from .evaluate import EvalReport, evaluate
 from .report import write_cdf_csv, write_grid_csv, write_grid_svg, write_report
@@ -118,9 +117,7 @@ class StudyConfig:
         return d
 
 
-def run_experiment(cfg: StudyConfig, out_dir: str,
-                   intr: CameraIntrinsics | None = None,
-                   panel: LedPanel | None = None) -> dict[str, EvalReport]:
+def run_experiment(cfg: StudyConfig, out_dir: str) -> dict[str, EvalReport]:
     """Run one canned study and write its reports under out_dir.
 
     Returns the reports keyed "kind/variant". Variants: test-clean and
@@ -128,28 +125,23 @@ def run_experiment(cfg: StudyConfig, out_dir: str,
     noise on the evaluated features), test-capture for sim-vs-capture,
     and test plus its test-h<height> slices for height-generalization.
     """
-    intr = intr or CameraIntrinsics()
-    panel = panel or LedPanel()
     os.makedirs(out_dir, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(8, np.uint64)
     # each study builds its training set, its test sets keyed by variant,
     # and the capture set whose dropped rows the reports count
     if cfg.study == "model-selection":
-        caps = generate_capture_set(
-            cfg.capture_spec(cfg.heights_capture, int(seeds[0])), intr, panel,
-            clean_reference=True)
+        caps = generate_capture_set(cfg.capture_spec(cfg.heights_capture, int(seeds[0])),
+                                    clean_reference=True)
         train, noisy = split(caps, cfg.test_per_location, int(seeds[1]))
         tests = {"test-clean": noisy.with_features(noisy.clean_features, CLEAN_TAG),
                  "test-noisy": noisy}
     elif cfg.study == "sim-vs-capture":
-        train = generate_sweep(cfg.sweep_spec(cfg.heights_capture), intr, panel)
-        caps = generate_capture_set(
-            cfg.capture_spec(cfg.heights_capture, int(seeds[5])), intr, panel)
+        train = generate_sweep(cfg.sweep_spec(cfg.heights_capture))
+        caps = generate_capture_set(cfg.capture_spec(cfg.heights_capture, int(seeds[5])))
         tests = {"test-capture": caps}
     else:  # height-generalization: train heights disjoint from test heights
-        train = generate_sweep(cfg.sweep_spec(cfg.heights_sweep_train), intr, panel)
-        caps = generate_capture_set(
-            cfg.capture_spec(cfg.heights_test, int(seeds[5])), intr, panel)
+        train = generate_sweep(cfg.sweep_spec(cfg.heights_sweep_train))
+        caps = generate_capture_set(cfg.capture_spec(cfg.heights_test, int(seeds[5])))
         tests = {"test": caps}
         for h in cfg.heights_test:
             tests[f"test-h{h!r}"] = caps.subset(caps.height_m == float(h))

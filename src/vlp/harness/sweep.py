@@ -19,14 +19,13 @@ import numpy as np
 
 from ..errors import InsufficientRows, MalformedCsv, VisionFailure, VlpError
 from ..geometry import (
-    BASE_ALIGNMENT,
     Attitude,
     CameraIntrinsics,
     LedPanel,
     Pose,
     Vec3,
-    attitude_matrices,
     batch_project_points,
+    camera_rotations,
     canonical_order,
     in_fov,
     matrix_to_attitude,
@@ -169,26 +168,6 @@ class Dataset:
         return Dataset(features, self.targets, self.grid_i, self.grid_j,
                        self.height_m, self.attitude, source_tag, self.dropped, None)
 
-    @staticmethod
-    def concatenate(parts: list["Dataset"]) -> "Dataset":
-        if not parts:
-            raise ValueError("nothing to concatenate")
-        tags = {p.source for p in parts}
-        if len(tags) > 1:
-            raise ValueError(f"cannot concatenate different sources {sorted(tags)}")
-        has_clean = all(p.clean_features is not None for p in parts)
-        return Dataset(
-            np.concatenate([p.features for p in parts]),
-            np.concatenate([p.targets for p in parts]),
-            np.concatenate([p.grid_i for p in parts]),
-            np.concatenate([p.grid_j for p in parts]),
-            np.concatenate([p.height_m for p in parts]),
-            np.concatenate([p.attitude for p in parts]),
-            parts[0].source,
-            sum(p.dropped for p in parts),
-            np.concatenate([p.clean_features for p in parts]) if has_clean else None,
-        )
-
     def locations(self) -> Iterator[tuple[tuple[float, int, int], np.ndarray]]:
         """Yield ((height, grid_i, grid_j), rows) per distinct location, in
         sorted key order, rows being the indices of the location's rows."""
@@ -265,36 +244,30 @@ def generate_sweep(spec: SweepSpec, intr: CameraIntrinsics | None = None,
     n_side = spec.grid.side_count
     angles = np.arange(0, 360, spec.angle_step_deg, dtype=np.float64)
     att_list = np.array(list(itertools.product(angles, angles, angles)))
-    rotations = attitude_matrices(att_list) @ BASE_ALIGNMENT
+    rotations = camera_rotations(att_list)
     n_att = att_list.shape[0]
     corners = panel.corners_lcs()
+    gx, gy = np.meshgrid(coords, coords, indexing="ij")
+    grid_pts = np.column_stack([gx.ravel(), gy.ravel()])
+    n_grid = grid_pts.shape[0]
+    gi = np.repeat(np.repeat(np.arange(n_side), n_side), n_att)
+    gj = np.repeat(np.tile(np.arange(n_side), n_side), n_att)
+    rot_all = np.tile(rotations, (n_grid, 1, 1))
 
-    parts = []
+    # per height: features, targets, grid_i, grid_j, height, attitude
+    columns = []
     for h in spec.heights_m:
-        gx, gy = np.meshgrid(coords, coords, indexing="ij")
-        grid_pts = np.column_stack([gx.ravel(), gy.ravel()])
-        n_grid = grid_pts.shape[0]
         positions = np.concatenate(
             [np.repeat(grid_pts, n_att, axis=0),
              np.full((n_grid * n_att, 1), float(h))], axis=1)
-        rot_all = np.tile(rotations, (n_grid, 1, 1))
         uv, valid = batch_project_points(intr, positions, rot_all, corners)
         keep = np.flatnonzero(valid & on_sensor(uv, intr))
         uvk = uv[keep]
         order = canonical_order(uvk)
         ordered = np.take_along_axis(uvk, order[..., None], axis=1)
-        gi = np.repeat(np.arange(n_side), n_side)
-        gj = np.tile(np.arange(n_side), n_side)
-        parts.append(Dataset(
-            ordered.reshape(-1, 8),
-            positions[keep],
-            np.repeat(gi, n_att)[keep],
-            np.repeat(gj, n_att)[keep],
-            np.full(keep.size, float(h)),
-            att_list[keep % n_att],
-            CLEAN_TAG,
-        ))
-    return Dataset.concatenate(parts)
+        columns.append((ordered.reshape(-1, 8), positions[keep], gi[keep], gj[keep],
+                        np.full(keep.size, float(h)), att_list[keep % n_att]))
+    return Dataset(*(np.concatenate(c) for c in zip(*columns)), CLEAN_TAG)
 
 
 def _draw_attitude(rng: np.random.Generator, position: Vec3,

@@ -24,9 +24,9 @@ class Forest:
         return len(self.trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
+        """The trees' mean prediction for each row of an (N, n_features)
+        matrix."""
         x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
         acc = np.zeros(x.shape[0], dtype=np.float64)
         for t in self.trees:
             acc += t.predict(x)

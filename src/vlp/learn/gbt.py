@@ -27,9 +27,8 @@ class GbtModel:
         self.trees = list(trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
+        """Predicted value for each row of an (N, n_features) matrix."""
         x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
         acc = np.full(x.shape[0], self.base_score, dtype=np.float64)
         for t in self.trees:
             acc += self.learning_rate * t.predict(x)

@@ -34,9 +34,8 @@ class Mlp:
         self.y_std = float(y_std)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
+        """Predicted value for each row of an (N, n_features) matrix."""
         x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
         a = (x - self.x_mean) / self.x_std
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             a = np.maximum(a @ w + b, 0.0)

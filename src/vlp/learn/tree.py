@@ -38,8 +38,6 @@ class Tree:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted value for each row of an (N, n_features) matrix."""
         x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
         node = np.zeros(x.shape[0], dtype=np.int64)
         while True:
             live = np.flatnonzero(self.feature[node] >= 0)

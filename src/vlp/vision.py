@@ -24,15 +24,7 @@ from .errors import EmptyMask, SaturatedFrame, TooFewCorners, VisionFailure
 from .geometry import CornerSet, order_corners
 from .render import Frame
 
-# re-exported: ordering is defined once, next to the projector that feeds it
-__all__ = [
-    "binarize",
-    "close_mask",
-    "largest_component",
-    "detect_corners",
-    "order_corners",
-    "extract_corners",
-]
+__all__ = ["close_mask", "extract_corners"]
 
 THRESHOLD = 128          # binarization level, gray
 EDGE_TRIM_PX = 6.0       # side fits leave out boundary points this near a corner
@@ -43,11 +35,6 @@ OUTLIER_PX = 2.0         # a side's fit keeps points this near its seed edge
 # set pixels along a row, in row-major order, with end one past the span's
 # last column; all in frame coordinates.
 Runs = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def binarize(frame: Frame) -> np.ndarray:
-    """Boolean mask of pixels >= THRESHOLD."""
-    return frame.pixels >= THRESHOLD
 
 
 def close_mask(mask: np.ndarray, radius_px: int) -> np.ndarray:
@@ -166,22 +153,6 @@ def _largest(row: np.ndarray, start: np.ndarray,
     return row[keep], start[keep], end[keep], int(size[best])
 
 
-def largest_component(mask: np.ndarray) -> tuple[np.ndarray, tuple[int, int], int]:
-    """The 8-connected component with the most pixels, as (blob, (row,
-    col), count): the component cropped to its own bounding box, the box's
-    top-left position in mask, and the component's pixel count.
-
-    Runs the same run labelling as extract_corners. Ties break toward the
-    component whose topmost-leftmost pixel comes first in (row, col) order.
-    """
-    row, start, end, count = _largest(*_runs(mask))
-    r, c = int(row[0]), int(start.min())
-    blob = np.zeros((int(row[-1]) - r + 1, int(end.max()) - c), dtype=bool)
-    first = (row - r) * blob.shape[1] - c
-    blob.ravel()[_ranges(first + start, first + end)] = True
-    return blob, (r, c), count
-
-
 def _boundary_points(row: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """(n, 2) frame (u, v) of the midpoints between set and unset
     4-neighbours of the pixels the runs cover; outside them, and past a
@@ -277,9 +248,11 @@ def _fit_sides(pts: np.ndarray, hull: np.ndarray, quad: np.ndarray) -> np.ndarra
 
 
 def _fit_quad(pts: np.ndarray) -> np.ndarray:
-    """The four corners fitted to boundary points pts, unordered: the
-    widest quad on their hull sorts them into four sides, and adjacent
-    fitted side lines intersect in the corners."""
+    """The four corners fitted to boundary points pts, unordered, as a
+    (4, 2) array of sub-pixel (u, v): the widest quad on their hull sorts
+    them into four sides, and adjacent fitted side lines intersect in the
+    corners (the quad fit of fiducial detectors: Olson, ICRA 2011). Raises
+    TooFewCorners for blobs too small or thin for four sides."""
     try:
         hull = pts[spatial.ConvexHull(pts).vertices]
     except spatial.QhullError:
@@ -287,15 +260,6 @@ def _fit_quad(pts: np.ndarray) -> np.ndarray:
     if len(hull) < 4:
         raise TooFewCorners(f"blob hull has {len(hull)} vertices, need 4")
     return _fit_sides(pts, hull, hull[_widest_subset(hull)])
-
-
-def detect_corners(mask: np.ndarray) -> np.ndarray:
-    """The four corners of a quad-shaped blob, unordered, as a (4, 2) array
-    of sub-pixel (u, v): the widest quad on the hull of the blob's boundary
-    sorts it into four sides, and adjacent fitted side lines intersect in
-    the corners (the quad fit of fiducial detectors: Olson, ICRA 2011).
-    Raises TooFewCorners for blobs too small or thin for four sides."""
-    return _fit_quad(_boundary_points(*_runs(mask)))
 
 
 def _check_quad(corners: CornerSet, count: int) -> None:

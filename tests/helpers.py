@@ -36,8 +36,7 @@ def exhaustive_tree_sse(x: np.ndarray, y: np.ndarray, depth: int) -> float:
             + exhaustive_tree_sse(x[~mask], y[~mask], depth - 1))
 
 
-def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, min_leaf: int,
-                        reg_lambda: float, gamma: float):
+def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, reg_lambda: float):
     """The exact grower one feature at a time, as vlp.learn.tree.grow_tree
     documents it: per feature, sort the node's rows stably, take prefix
     sums of g, score every cut between distinct values by the
@@ -58,11 +57,11 @@ def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, min_leaf: in
         gi = g[idx]
         gsum = float(gi.sum())
         nodes.append([-1, 0.0, -1, -1, -gsum / (n + reg_lambda)])
-        if (n < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
+        if (n < 2 or (max_depth is not None and depth >= max_depth)
                 or gi.min() == gi.max()):
             continue
-        gain_base = 0.5 * gsum * gsum / (n + reg_lambda) + gamma
-        sizes = np.arange(min_leaf, n - min_leaf + 1)
+        gain_base = 0.5 * gsum * gsum / (n + reg_lambda)
+        sizes = np.arange(1, n)
         best = None  # (gain, feature, threshold, order, left_count)
         for f in range(x.shape[1]):
             order = np.argsort(x[idx, f], kind="stable")
@@ -166,9 +165,10 @@ def project_point(intr, pose, point) -> tuple[float, float]:
     point. Returns pixel (u, v), possibly off the sensor. Raises
     BehindCamera when the point is on or behind the camera plane."""
     from vlp.errors import BehindCamera
-    from vlp.geometry import camera_rotation
+    from vlp.geometry import camera_rotations
 
-    c = camera_rotation(pose.attitude)
+    att = pose.attitude
+    c = camera_rotations(np.array([[att.roll, att.pitch, att.yaw]]))[0]
     p_cam = c.T @ (point.as_array() - pose.position.as_array())
     z = p_cam[2]
     if z <= 0:

@@ -51,12 +51,11 @@ def _verdict(capsys, n, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def model_selection(tmp_path_factory, intr, panel):
+def model_selection(tmp_path_factory):
     """The full-scale capture study shared by criteria 5 and 7."""
     out = tmp_path_factory.mktemp("model_selection")
     t0 = time.monotonic()
-    reports = run_experiment(StudyConfig(study="model-selection", seed=0),
-                             str(out), intr, panel)
+    reports = run_experiment(StudyConfig(study="model-selection", seed=0), str(out))
     return reports, time.monotonic() - t0
 
 
@@ -187,16 +186,15 @@ def test_criterion_5_in_distribution_fit(capsys, model_selection):
 
 
 @pytest.mark.slow
-def test_criterion_6_height_generalization(capsys, tmp_path_factory,
-                                            intr, panel):
+def test_criterion_6_height_generalization(capsys, tmp_path_factory):
     """Train on a clean pose sweep at 1.56/1.76 m, test on noisy captures at
     1.23/1.6 m. Tree ensembles predict constants per leaf, so height
     extrapolation bottoms out at the 33 cm gap between the nearest training
     height and 1.23 m; the mean clause fails honestly. The z-axis clause
     (smallest p90 of the three axes at 1.23 m) does hold."""
     out = tmp_path_factory.mktemp("height_gen")
-    reports = run_experiment(StudyConfig(study="height-generalization",
-                                         seed=0), str(out), intr, panel)
+    reports = run_experiment(StudyConfig(study="height-generalization", seed=0),
+                             str(out))
     mean = reports["gbt/test"].mean_3d_error_cm
     p90 = reports["gbt/test-h1.23"].axis_p90_cm
     mean_ok = mean < 10.0

@@ -176,9 +176,12 @@ def test_decode_rejects_unmodulated_profile(intr, panel):
 
 def test_decode_rejects_washed_out_exposure(intr, panel):
     profile = _striped_profile(intr, panel, 0xB6, 0.0)
-    with pytest.raises(ValueError, match="exposure"):
+    # an exposure read from a frame's meta is input, not a programming error
+    with pytest.raises(NoTransitions, match="exposure covers a full bit period"):
         dm_decode(profile, 2.5, 200.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoTransitions):
+        dm_decode(profile, 2.5, 100.0)  # exactly one bit period
+    with pytest.raises(ValueError, match="timing parameters must be positive"):
         dm_decode(profile, -1.0, 68.0)
 
 

@@ -24,9 +24,8 @@ from vlp.geometry import (
     Pose,
     Vec3,
     attitude_matrices,
-    attitude_to_matrix,
     batch_project_points,
-    camera_rotation,
+    camera_rotations,
     canonical_order,
     in_fov,
     matrix_to_attitude,
@@ -55,6 +54,12 @@ def test_attitude_normalizes_to_0_360():
     assert att.roll == pytest.approx(350.0)
     assert att.pitch == pytest.approx(10.0)
     assert att.yaw == pytest.approx(0.0)
+    # 360 - a tiny angle rounds to 360 itself, which is 0; -0.0 is 0.0
+    for tiny in (-1e-20, -1e-14, -5e-324, -0.0):
+        att = Attitude(tiny, tiny, tiny)
+        for v in (att.roll, att.pitch, att.yaw):
+            assert 0.0 <= v < 360.0 and math.copysign(1.0, v) == 1.0, tiny
+    assert Attitude(-1e-12).roll == 360.0 - 1e-12
 
 
 def test_pose_requires_receiver_below_panel():
@@ -98,28 +103,36 @@ def test_panel_is_a_hashable_value():
     assert LedPanel(flux_lm=1800.0) != LedPanel()
 
 
+def _rotation(att: Attitude) -> np.ndarray:
+    return attitude_matrices(np.array([[att.roll, att.pitch, att.yaw]]))[0]
+
+
 def test_attitude_matrices_are_rotations():
     g = rng(7)
     for _ in range(200):
         att = Attitude(*(g.uniform(0.0, 360.0, size=3)))
-        r = attitude_to_matrix(att)
+        r = _rotation(att)
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batched_attitudes_equal_single_poses():
-    """A batch row rounds exactly like the same attitude built alone."""
+    """A batch row rounds exactly like the same attitude built alone, so
+    the sweep's batch and a single pose's projection see the same camera
+    rotation bits."""
     g = rng(13)
     angles = np.vstack([g.uniform(0.0, 360.0, size=(500, 3)),
-                        list(itertools.product(range(0, 360, 30), repeat=3))])
-    batch = attitude_matrices(angles)
-    assert batch.shape == (angles.shape[0], 3, 3)
-    single = np.array([attitude_to_matrix(Attitude(*a)) for a in angles])
-    np.testing.assert_array_equal(batch, single)
+                        list(itertools.product(range(0, 360, 30), repeat=3)),
+                        list(itertools.product(range(0, 360, 45), repeat=3))])
+    for build in (attitude_matrices, camera_rotations):
+        batch = build(angles)
+        assert batch.shape == (angles.shape[0], 3, 3)
+        single = np.concatenate([build(a[None, :]) for a in angles])
+        assert batch.tobytes() == single.tobytes()
 
 
 def test_yaw_only_matches_plane_rotation():
-    r = attitude_to_matrix(Attitude(0.0, 0.0, 90.0))
+    r = _rotation(Attitude(0.0, 0.0, 90.0))
     want = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     np.testing.assert_allclose(r, want, atol=1e-15)
 
@@ -128,14 +141,14 @@ def test_matrix_attitude_round_trip():
     g = rng(11)
     for _ in range(300):
         att = Attitude(*(g.uniform(0.0, 360.0, size=3)))
-        r = attitude_to_matrix(att)
-        back = attitude_to_matrix(matrix_to_attitude(r))
+        r = _rotation(att)
+        back = _rotation(matrix_to_attitude(r))
         np.testing.assert_allclose(back, r, atol=1e-9)
 
 
 def test_rotation_about_axis_properties():
     np.testing.assert_allclose(rotation_about_axis(np.array([0.0, 0.0, 1.0]), 90.0),
-                               attitude_to_matrix(Attitude(0.0, 0.0, 90.0)), atol=1e-15)
+                               _rotation(Attitude(0.0, 0.0, 90.0)), atol=1e-15)
     g = rng(3)
     for _ in range(50):
         axis = g.normal(size=3)
@@ -146,7 +159,7 @@ def test_rotation_about_axis_properties():
 
 
 def test_camera_rotation_identity_attitude_is_base_alignment():
-    np.testing.assert_allclose(camera_rotation(Attitude()), BASE_ALIGNMENT)
+    np.testing.assert_allclose(camera_rotations(np.zeros((1, 3)))[0], BASE_ALIGNMENT)
 
 
 def test_nadir_projection_offset_magnitude(intr, panel):
@@ -203,9 +216,9 @@ def test_batch_project_matches_single(intr, panel):
     m = 40
     positions = np.column_stack([g.uniform(-0.4, 0.4, m), g.uniform(-0.4, 0.4, m),
                                  g.uniform(1.1, 2.2, m)])
-    atts = [Attitude(float(a), float(b), float(c))
-            for a, b, c in g.uniform(0.0, 360.0, size=(m, 3))]
-    rots = np.stack([camera_rotation(a) for a in atts])
+    angles = g.uniform(0.0, 360.0, size=(m, 3))
+    atts = [Attitude(*a) for a in angles]
+    rots = camera_rotations(angles)
     uv, valid = batch_project_points(intr, positions, rots, panel.corners_lcs())
     assert uv.shape == (m, 4, 2) and valid.shape == (m,)
     for i in range(m):

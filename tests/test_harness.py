@@ -180,17 +180,6 @@ def test_dataset_csv_keeps_a_long_source_tag(tmp_path):
     assert again.read_text() == path.read_text()
 
 
-def test_dataset_concatenate_one_source():
-    def rows(n, tag):
-        return Dataset(np.zeros((n, 8)), np.zeros((n, 3)), [0] * n, [0] * n,
-                       [1.3] * n, np.zeros((n, 3)), tag, dropped=1)
-
-    both = Dataset.concatenate([rows(0, "clean-sim"), rows(2, "clean-sim")])
-    assert (len(both), both.source, both.dropped) == (2, "clean-sim", 2)
-    with pytest.raises(ValueError, match="different sources"):
-        Dataset.concatenate([rows(1, "clean-sim"), rows(1, "noisy-sim")])
-
-
 def test_dataset_to_csv_tags_an_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
     Dataset(np.empty((0, 8)), np.empty((0, 3)), [], [], [], np.empty((0, 3)),
@@ -234,16 +223,24 @@ def test_dataset_from_csv_rejects_a_bad_grid_index(tmp_path, grid_j):
     assert (ds.grid_i.tolist(), ds.grid_j.tolist()) == ([3], [2])
 
 
-def test_dataset_subset_and_concatenate(intr, panel):
-    ds = generate_sweep(SweepSpec((1.3, 1.66), angle_step_deg=90,
-                                  grid=GridSpec(0.4, 0.2)), intr, panel)
-    low = ds.subset(ds.height_m == 1.3)
-    high = ds.subset(ds.height_m == 1.66)
-    assert len(low) + len(high) == len(ds)
-    rejoined = Dataset.concatenate([low, high])
-    assert len(rejoined) == len(ds)
-    keys = [key for key, _ in rejoined.locations()]
-    assert keys == [key for key, _ in ds.locations()]
+def test_sweep_is_its_heights_in_order(intr, panel):
+    """A sweep over several heights is each height's sweep joined in the
+    spec's order: the same columns bit for bit, one source tag and no
+    dropped rows; a subset by height takes each part back out."""
+    grid = GridSpec(0.4, 0.2)
+    heights = (1.66, 1.3)
+    ds = generate_sweep(SweepSpec(heights, angle_step_deg=90, grid=grid), intr, panel)
+    parts = [generate_sweep(SweepSpec((h,), angle_step_deg=90, grid=grid), intr, panel)
+             for h in heights]
+    assert (ds.source, ds.dropped, ds.clean_features) == ("clean-sim", 0, None)
+    for name in ("features", "targets", "grid_i", "grid_j", "height_m", "attitude"):
+        joined = np.concatenate([getattr(part, name) for part in parts])
+        got = getattr(ds, name)
+        assert got.dtype == joined.dtype and got.tobytes() == joined.tobytes(), name
+    for h, part in zip(heights, parts):
+        assert ds.subset(ds.height_m == h).features.tobytes() == part.features.tobytes()
+    keys = [key for part in parts for key, _ in part.locations()]
+    assert [key for key, _ in ds.locations()] == sorted(keys)
 
 
 def test_split_partitions_per_location(intr, panel):
@@ -280,12 +277,13 @@ def test_capture_aims_near_the_panel(intr, panel):
     spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=2, seed=6,
                        corner_jitter_px=0.0, pixel_sigma=0.0)
     ds = generate_capture_set(spec, intr, panel)
-    from vlp.geometry import attitude_to_matrix
+    from vlp.geometry import attitude_matrices
 
+    rotations = attitude_matrices(ds.attitude)
     for k in range(len(ds)):
         p = ds.targets[k]
         bore_should = -p / np.linalg.norm(p)
-        r = attitude_to_matrix(Attitude(*ds.attitude[k]))
+        r = rotations[k]
         bore_is = r @ np.array([0.0, 0.0, -1.0])
         ang = np.degrees(np.arccos(np.clip(bore_is @ bore_should, -1, 1)))
         assert ang < 0.2
@@ -543,14 +541,14 @@ def test_model_kinds_default_to_the_study_kinds(study, kinds):
     assert StudyConfig(study=study).echo()["model_kinds"] == kinds
 
 
-def test_run_experiment_model_selection_micro(tmp_path, intr, panel):
+def test_run_experiment_model_selection_micro(tmp_path):
     cfg = StudyConfig(
         study="model-selection", seed=3, grid_extent_m=0.4, grid_spacing_m=0.4,
         per_location=3, test_per_location=1, model_kinds=("tree", "gbt"),
         gbt_rounds=5, gbt_depth=4, mlp_epochs=1,
     )
     out = tmp_path / "out"
-    reports = run_experiment(cfg, str(out), intr, panel)
+    reports = run_experiment(cfg, str(out))
     assert set(reports) == {"tree/test-clean", "tree/test-noisy",
                             "gbt/test-clean", "gbt/test-noisy"}
     for key, rep in reports.items():
@@ -578,13 +576,13 @@ _MICRO = dict(seed=3, grid_extent_m=0.4, grid_spacing_m=0.4, angle_step_deg=90,
     ("height-generalization", {"gbt/test": (1.23, 1.6), "gbt/test-h1.23": (1.23,),
                                "gbt/test-h1.6": (1.6,)}),
 ], ids=["model-selection", "sim-vs-capture", "height-generalization"])
-def test_run_experiment_every_study_micro(tmp_path, intr, panel, study, heights):
+def test_run_experiment_every_study_micro(tmp_path, study, heights):
     """Each study's report keys, in order, and the files it writes; a rerun
     writes the same bytes."""
     kinds = tuple(dict.fromkeys(key.split("/")[0] for key in heights))
     cfg = StudyConfig(study=study, model_kinds=kinds, **_MICRO)
-    reports = run_experiment(cfg, str(tmp_path / "a"), intr, panel)
-    run_experiment(cfg, str(tmp_path / "b"), intr, panel)
+    reports = run_experiment(cfg, str(tmp_path / "a"))
+    run_experiment(cfg, str(tmp_path / "b"))
     assert list(reports) == list(heights)
     want = set()
     for key, hs in heights.items():

@@ -45,11 +45,8 @@ from vlp.vision import (
     _fit_quad,
     _largest,
     _runs,
-    binarize,
     close_mask,
-    detect_corners,
     extract_corners,
-    largest_component,
 )
 
 
@@ -57,14 +54,26 @@ def _frame_from(mask: np.ndarray) -> Frame:
     return Frame((mask.astype(np.uint8) * 255), FrameMeta())
 
 
+def _corners(mask: np.ndarray) -> np.ndarray:
+    """The unordered corners that extract_corners fits to every blob of a
+    mask, through the run core."""
+    return _fit_quad(_boundary_points(*_runs(mask)))
+
+
+def _as_lists(runs) -> tuple[list, ...]:
+    return tuple(a.tolist() for a in runs)
+
+
 def test_binarize_threshold_semantics(intr, panel):
     assert THRESHOLD == 128
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.19), panel, 0.5)
     assert frame.fill == 128
-    assert binarize(frame).sum() == 800 * 800
+    box = _bbox(frame.pixels, THRESHOLD)
+    assert (frame.pixels[box] >= THRESHOLD).sum() == 800 * 800
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.19), panel, 127 / 255)
     assert frame.fill == 127
-    assert binarize(frame).sum() == 0
+    with pytest.raises(EmptyMask):
+        _bbox(frame.pixels, THRESHOLD)
 
 
 def test_close_mask_square_element():
@@ -113,21 +122,22 @@ def test_largest_component_size_and_tie_break():
     mask = np.zeros((30, 30), dtype=bool)
     mask[2:5, 2:5] = True       # 9 px
     mask[20:24, 20:24] = True   # 16 px
-    blob, origin, count = largest_component(mask)
-    assert count == 16 and origin == (20, 20)
-    assert blob.shape == (4, 4) and blob.all()
+    *runs, count = _largest(*_runs(mask))
+    assert count == 16
+    assert _as_lists(runs) == ([20, 21, 22, 23], [20] * 4, [24] * 4)
     tie = np.zeros((30, 30), dtype=bool)
     tie[1, 1] = True
     tie[9, 9] = True
-    assert largest_component(tie)[1:] == ((1, 1), 1)
+    *runs, count = _largest(*_runs(tie))
+    assert _as_lists(runs) == ([1], [1], [2]) and count == 1
     # the first pixel in (row, col) order wins, not the leftmost column
     tie = np.zeros((30, 30), dtype=bool)
     tie[5:8, 2] = True          # starts at (5, 2)
     tie[4, 20:23] = True        # starts at (4, 20)
-    blob, origin, count = largest_component(tie)
-    assert origin == (4, 20) and blob.shape == (1, 3) and count == 3
+    *runs, count = _largest(*_runs(tie))
+    assert _as_lists(runs) == ([4], [20], [23]) and count == 3
     with pytest.raises(EmptyMask):
-        largest_component(np.zeros((5, 5), dtype=bool))
+        _runs(np.zeros((5, 5), dtype=bool))
 
 
 def test_largest_component_matches_sorted_tie_oracle():
@@ -141,10 +151,8 @@ def test_largest_component_matches_sorted_tie_oracle():
         tied = np.flatnonzero(sizes == sizes.max()) + 1
         first = min(tied, key=lambda lab: int(np.flatnonzero(labels.ravel() == lab)[0]))
         want = labels == first
-        blob, (r, c), count = largest_component(mask)
-        got = np.zeros_like(mask)
-        got[r:r + blob.shape[0], c:c + blob.shape[1]] = blob
-        np.testing.assert_array_equal(got, want)
+        *runs, count = _largest(*_runs(mask))
+        assert _as_lists(runs) == _as_lists(_runs(want))
         assert count == int(want.sum())
 
 
@@ -171,14 +179,14 @@ def test_run_core_matches_pixel_oracle(data):
     origin = (data.draw(st.integers(0, 50)), data.draw(st.integers(0, 50)))
     whole = _boundary_points(*_runs(mask, origin))
     assert whole.tobytes() == reference_boundary_points(mask, origin).tobytes()
-    blob, (r, c), count = largest_component(mask)
     want_blob, (want_r, want_c), want_count = reference_largest_component(mask)
-    assert ((r, c), count) == ((want_r, want_c), want_count)
-    np.testing.assert_array_equal(blob, want_blob)
+    want_origin = (want_r + origin[0], want_c + origin[1])
     row, start, end, count = _largest(*_runs(mask, origin))
     assert count == want_count
+    assert (int(row[0]), int(start.min())) == want_origin
+    assert _as_lists((row, start, end)) == _as_lists(_runs(want_blob, want_origin))
     got = _boundary_points(row, start, end)
-    want = reference_boundary_points(want_blob, (want_r + origin[0], want_c + origin[1]))
+    want = reference_boundary_points(want_blob, want_origin)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -191,16 +199,16 @@ def test_largest_component_of_a_serpentine():
     mask[1:59, 0::2] = True
     for k in range(40):
         mask[59 if k % 2 == 0 else 0, 2 * k : 2 * k + 3] = True
-    blob, origin, count = largest_component(mask)
+    *runs, count = _largest(*_runs(mask))
     want_blob, want_origin, want_count = reference_largest_component(mask)
-    assert (origin, count) == (want_origin, want_count) == ((0, 0), mask.sum())
-    np.testing.assert_array_equal(blob, want_blob)
+    assert want_origin == (0, 0) and count == want_count == mask.sum()
+    assert _as_lists(runs) == _as_lists(_runs(want_blob, want_origin))
 
 
 def test_detect_corners_subpixel_on_ideal_square(intr, panel):
     # the 1.19 m nadir view projects to the square [464, 1264] x [752, 1552]
     frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.19), panel, 1.0)
-    pts = detect_corners(binarize(frame))
+    pts = _corners(frame.pixels >= THRESHOLD)
     want = {(464.0, 752.0), (1264.0, 752.0), (1264.0, 1552.0), (464.0, 1552.0)}
     for w in want:
         d = np.hypot(pts[:, 0] - w[0], pts[:, 1] - w[1]).min()
@@ -209,14 +217,14 @@ def test_detect_corners_subpixel_on_ideal_square(intr, panel):
 
 def test_detect_corners_window_validation():
     with pytest.raises(EmptyMask):
-        detect_corners(np.zeros((50, 50), dtype=bool))
+        _corners(np.zeros((50, 50), dtype=bool))
 
 
 def test_tiny_blob_has_too_few_separated_corners():
     mask = np.zeros((60, 60), dtype=bool)
     mask[25:35, 25:35] = True  # no side keeps a point past the corner margins
     with pytest.raises(TooFewCorners):
-        detect_corners(mask)
+        _corners(mask)
 
 
 def test_detect_corners_moves_with_the_blob(intr, panel):
@@ -227,13 +235,13 @@ def test_detect_corners_moves_with_the_blob(intr, panel):
     pos = Vec3(0.1, -0.05, 1.5)
     frame = rasterize_panel(intr, Pose(pos, _draw_attitude(g, pos, 20.0, 12.0)),
                             panel, 1.0)
-    full = binarize(frame)
+    full = frame.pixels >= THRESHOLD
     blob = full[_bbox(full, True)]
     corners = []
     for dr, dc in ((3, 5), (1203, 1871)):
         mask = np.zeros((blob.shape[0] + 1300, blob.shape[1] + 1900), dtype=bool)
         mask[dr : dr + blob.shape[0], dc : dc + blob.shape[1]] = blob
-        corners.append(detect_corners(mask))
+        corners.append(_corners(mask))
         crop = _fit_quad(_boundary_points(*_runs(mask[dr - 2 :, dc - 1 :],
                                                  (dr - 2, dc - 1))))
         np.testing.assert_array_equal(crop, corners[-1])
@@ -255,7 +263,7 @@ def test_detect_corners_fails_typed_on_any_blob(data):
     holes = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask &= holes.random(mask.shape) < data.draw(st.sampled_from([1.0, 0.8]))
     try:
-        pts = detect_corners(mask)
+        pts = _corners(mask)
     except VisionFailure:
         return
     assert pts.shape == (4, 2) and np.isfinite(pts).all()
@@ -323,7 +331,7 @@ def test_check_quad_rejects_reflex_corner():
     # around the centroid keeps it, producing a reflex vertex
     pts = np.array([[10.0, 10.0], [5.0, 4.0], [0.0, 0.0], [10.0, 0.0]])
     with pytest.raises(VisionFailure, match="non-convex"):
-        _check_quad(CornerSet(pts), np.ones((5, 5), dtype=bool))
+        _check_quad(CornerSet(pts), 25)
 
 
 @settings(max_examples=300)
@@ -530,6 +538,6 @@ def test_panel_clipped_at_one_corner_is_not_saturated(intr, panel):
     pose = nadir_pose(0.5, -0.75, 1.3)
     assert not in_fov(project_panel_corners(intr, pose, panel), intr)
     frame = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
-    mask = binarize(frame)
+    mask = frame.pixels >= THRESHOLD
     assert mask[0].any() and mask[:, 0].any()
     assert np.isfinite(extract_corners(frame).points).all()
