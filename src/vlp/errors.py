@@ -19,11 +19,12 @@ class BehindCamera(VlpError):
 
 class MalformedModel(VlpError, ValueError):
     """Model file is not valid JSON, carries another format tag, names an
-    unknown kind or lacks a field."""
+    unknown kind, lacks a field or holds a tree that predict cannot walk."""
 
 
 class MalformedFrame(VlpError, ValueError):
-    """Frame file is not an 8-bit binary PGM or its raster is cut short."""
+    """Frame file is not an 8-bit binary PGM, its raster is empty or cut
+    short, or its capture meta is invalid."""
 
 
 class MalformedCsv(VlpError, ValueError):

@@ -115,11 +115,33 @@ def _doc(field):
 
 def _from_doc(cls, doc: dict):
     """cls called with its document's fields in __slots__ order; a trees
-    field holds tree documents."""
+    field holds tree documents. Raises ValueError on a malformed tree."""
     fields = {name: doc[name] for name in cls.__slots__}
     if "trees" in fields:
         fields["trees"] = [_from_doc(Tree, t) for t in fields["trees"]]
-    return cls(*fields.values())
+    sub = cls(*fields.values())
+    if cls is Tree:
+        _check_tree(sub)
+    return sub
+
+
+def _check_tree(tree: Tree) -> None:
+    """Raise ValueError unless every node is a leaf (feature -1) or a split
+    i on one of the N_FEATURES features whose children lie past it,
+    i < left[i], right[i] < n: then predict reads a feature that exists and
+    reaches a leaf. grow_tree writes nodes in preorder, so its trees pass."""
+    n = tree.n_nodes
+    i = np.arange(n)
+    f, left, right = tree.feature, tree.left, tree.right
+    split_ok = ((f < N_FEATURES) & (i < left) & (left < n)
+                & (i < right) & (right < n))
+    bad = np.flatnonzero(np.where(f >= 0, ~split_ok, f != -1))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"tree node {k} of {n} has feature {f[k]} and children {left[k]}, "
+            f"{right[k]}; a split needs a feature in [0, {N_FEATURES}) and "
+            f"children in ({k}, {n}), a leaf feature -1")
 
 
 def save_model(model: PositionModel, path) -> None:
@@ -137,7 +159,8 @@ def save_model(model: PositionModel, path) -> None:
 
 def load_model(path) -> PositionModel:
     """Read a model written by save_model. Raises MalformedModel on invalid
-    JSON, a wrong format tag, an unknown kind or a missing field."""
+    JSON, a wrong format tag, an unknown kind, a missing field or a tree
+    whose nodes predict cannot walk (see _check_tree)."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -170,6 +170,8 @@ def read_pgm(path) -> Frame:
     width, height, maxval = (int(t) for t in tokens)
     if maxval != 255:
         raise MalformedFrame(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if width == 0 or height == 0:
+        raise MalformedFrame(f"{path}: empty {width}x{height} raster")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:

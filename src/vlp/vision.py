@@ -18,7 +18,6 @@ r + 0.5).
 from __future__ import annotations
 
 import numpy as np
-from scipy import spatial
 
 from .errors import EmptyMask, SaturatedFrame, TooFewCorners, VisionFailure
 from .geometry import CornerSet, order_corners
@@ -178,6 +177,52 @@ def _boundary_points(row: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.
     return np.concatenate([across, down])
 
 
+def _hull(pts: np.ndarray) -> np.ndarray:
+    """Indices of the convex hull's vertices of the (n, 2) points pts,
+    counterclockwise in (u, v) (positive signed area), from the lowest-u,
+    then lowest-v point. Duplicates and points on a hull edge are no
+    vertices: points all on one line give two indices, and copies of one
+    point give one.
+
+    Quickhull (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) on an explicit
+    stack: the point farthest right of an edge, the one nearest the edge's
+    start on ties, is a vertex; it splits the edge in two, and the points
+    right of each half are that half's candidates. Boundary points are
+    integers or half-integers below 2**12, so every cross product is
+    exact in float64 and no rounding decides a side or a tie."""
+    u, v = pts[:, 0], pts[:, 1]
+    low = np.flatnonzero(u == u.min())
+    first = int(low[v[low].argmin()])
+    high = np.flatnonzero(u == u.max())
+    last = int(high[v[high].argmax()])
+    if first == last:
+        return np.array([first])
+    vertices = []
+    # (a, b, candidates' u, v and indices); popped in hull order, and a is a
+    # vertex once no candidate lies right of the edge a -> b
+    every = np.arange(len(pts))
+    stack = [(last, first, u, v, every), (first, last, u, v, every)]
+    while stack:
+        a, b, cu, cv, ci = stack.pop()
+        (au, av), (bu, bv) = pts[a].tolist(), pts[b].tolist()
+        du, dv = bu - au, bv - av
+        # c lies right of a -> b where (b - a) x (c - a) < 0, that is
+        # where right(c) > right(a); the farthest has the largest right
+        right = dv * cu - du * cv
+        keep = right > dv * au - du * av
+        if not keep.any():
+            vertices.append(a)
+            continue
+        cu, cv, ci, right = cu[keep], cv[keep], ci[keep], right[keep]
+        far = np.flatnonzero(right == right.max())
+        if far.size > 1:
+            far = far[(du * cu[far] + dv * cv[far]).argmin(keepdims=True)]
+        p = int(ci[far[0]])
+        stack.append((p, b, cu, cv, ci))
+        stack.append((a, p, cu, cv, ci))
+    return np.array(vertices)
+
+
 def _widest_subset(pts: np.ndarray) -> list[int]:
     """Sorted indices of the four hull vertices (pts, in hull order) that
     span the largest quad: over every diagonal (i, j), the best apex on
@@ -253,10 +298,7 @@ def _fit_quad(pts: np.ndarray) -> np.ndarray:
     them into four sides, and adjacent fitted side lines intersect in the
     corners (the quad fit of fiducial detectors: Olson, ICRA 2011). Raises
     TooFewCorners for blobs too small or thin for four sides."""
-    try:
-        hull = pts[spatial.ConvexHull(pts).vertices]
-    except spatial.QhullError:
-        raise TooFewCorners("blob boundary is collinear") from None
+    hull = pts[_hull(pts)]
     if len(hull) < 4:
         raise TooFewCorners(f"blob hull has {len(hull)} vertices, need 4")
     return _fit_sides(pts, hull, hull[_widest_subset(hull)])

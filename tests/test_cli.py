@@ -247,6 +247,21 @@ def test_bad_frame_meta_is_a_malformed_frame(tmp_path, capsys, meta):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("size", [b"0 10", b"10 0"], ids=["zero-width", "zero-height"])
+def test_empty_frame_is_a_malformed_frame(tmp_path, capsys, size):
+    """A PGM with no pixels fails as a MalformedFrame when read, not as a
+    numpy reduction error when its corners are extracted."""
+    pgm = tmp_path / "empty.pgm"
+    pgm.write_bytes(b"P5\n" + size + b"\n255\n")
+    dims = size.decode().replace(" ", "x")
+    with pytest.raises(MalformedFrame, match=f"empty {dims} raster"):
+        read_pgm(pgm)
+    for argv in (["codec", "decode", "--frame", str(pgm)],
+                 ["extract", "--frame", str(pgm)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pgm}: empty {dims} raster")
+
+
 @pytest.mark.parametrize("config, extra", [
     (b"study = model-selection\nseed = \xff\n", []),
     (b"study = model-selection\n", ["--per-location", "0"]),
@@ -329,3 +344,14 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "id=0xB6" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    """Every vlp command first imports vlp.cli in a fresh interpreter, and
+    that import loads numpy only: scipy is a test dependency."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vlp.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -2,6 +2,8 @@
 identity for boosting, finite-difference gradients for the MLP, and the
 serialization contract for all of them."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -446,3 +448,24 @@ def test_load_model_malformed(tmp_path, text, match):
     bad.write_text(text)
     with pytest.raises(MalformedModel, match=match):
         load_model(bad)
+
+
+@pytest.mark.parametrize("kind", ["tree", "gbt"])
+@pytest.mark.parametrize("edit", [
+    {"left": [0, -1, -1], "right": [0, -1, -1]},
+    {"right": [3, -1, -1]},
+    {"feature": [8, -1, -1]},
+    {"feature": [0, -1, -2]},
+], ids=["self-loop", "child-past-end", "feature-8", "leaf-feature-minus-2"])
+def test_load_model_rejects_malformed_tree(tmp_path, kind, edit):
+    """A node whose children point back at it would loop predict forever,
+    and a split on feature 8 or a child past the end would index out of
+    bounds: load_model rejects the document instead."""
+    path = tmp_path / "model.json"
+    save_model(PositionModel(kind, [_GOLDEN[kind][0]] * 3, 7, {}), path)
+    doc = json.loads(path.read_text())
+    axis = doc["axes"]["y"]
+    (axis if kind == "tree" else axis["trees"][0]).update(edit)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedModel, match="tree node"):
+        load_model(path)

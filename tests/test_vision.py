@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
+from scipy import ndimage, spatial
 
 from conftest import nadir_pose, rng
 from helpers import (
@@ -43,6 +43,7 @@ from vlp.vision import (
     _boundary_points,
     _check_quad,
     _fit_quad,
+    _hull,
     _largest,
     _runs,
     close_mask,
@@ -253,7 +254,7 @@ def test_detect_corners_moves_with_the_blob(intr, panel):
 @given(st.data())
 def test_detect_corners_fails_typed_on_any_blob(data):
     """Any mask gives four finite corners or a VisionFailure: degenerate
-    blobs never surface a QhullError, a LinAlgError or a warning."""
+    blobs never surface an IndexError, a LinAlgError or a warning."""
     h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
     mask = np.zeros((h, w), dtype=bool)
     for _ in range(data.draw(st.integers(1, 3))):
@@ -317,6 +318,53 @@ def test_extract_corners_empty_frame_raises(intr, panel):
     for radius in (0, stripe_merge_radius(intr)):
         with pytest.raises(EmptyMask):
             extract_corners(dark, merge_radius=radius)
+
+
+@st.composite
+def _half_integer_points(draw) -> np.ndarray:
+    """1-3 free points, then copies of them and collinear runs, all on the
+    half-integer lattice that boundary points live on."""
+    coord = st.integers(-40, 40).map(lambda k: k / 2.0)
+    pts = [(draw(coord), draw(coord)) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.sampled_from(pts))
+        du, dv = draw(st.sampled_from([(0.5, 0.0), (0.0, 0.5), (0.5, 0.5),
+                                       (0.5, -1.0), (1.5, 1.0)]))
+        pts += [(u + k * du, v + k * dv) for k in range(1, draw(st.integers(1, 6)))]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return np.array(pts)
+
+
+@settings(max_examples=500)
+@given(_half_integer_points(), st.data())
+def test_hull_matches_qhull(pts, data):
+    """The hull's vertices are Qhull's, in Qhull's counterclockwise order,
+    from the lowest-u, then lowest-v point; a row permutation of the input
+    gives the same coordinates. Where Qhull finds no hull (one distinct
+    point, or all on a line), the hull is that point, or the line's two
+    ends."""
+    got = pts[_hull(pts)]
+    perm = np.array(data.draw(st.permutations(range(len(pts)))))
+    np.testing.assert_array_equal(pts[perm][_hull(pts[perm])], got)
+    ends = pts[np.lexsort((pts[:, 1], pts[:, 0]))[[0, -1]]]
+    np.testing.assert_array_equal(got[0], ends[0])
+    try:
+        want = pts[spatial.ConvexHull(pts).vertices]
+    except spatial.QhullError:
+        distinct = len(np.unique(pts, axis=0))
+        np.testing.assert_array_equal(got, ends[: min(distinct, 2)])
+        return
+    start = np.flatnonzero((want == got[0]).all(axis=1))
+    assert start.size == 1 and len(got) == len(want)
+    np.testing.assert_array_equal(np.roll(want, -start[0], axis=0), got)
+
+
+@pytest.mark.parametrize("pts", [[[1.5, 2.0]] * 3, [[1.5, 2.0], [3.0, 2.5], [1.5, 2.0]],
+                                 [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0], [4.0, 2.0]]],
+                         ids=["one-point", "two-points", "one-line"])
+def test_fit_quad_on_a_degenerate_boundary(pts):
+    with pytest.raises(TooFewCorners, match="hull has [12] vertices"):
+        _fit_quad(np.array(pts))
 
 
 def test_disc_is_rejected_as_non_quad():
