@@ -10,12 +10,12 @@ import sys
 
 from .codec import (DEFAULT_BIT_RATE_HZ, LedDatabase, dm_decode, dm_encode,
                     extract_row_profile, match_id, stripe_merge_radius)
-from .config import build_study_config, parse_config_file
 from .errors import VlpError
 from .geometry import Attitude, CameraIntrinsics, LedPanel, Pose, Vec3
 from .harness import (STUDIES, CaptureSpec, Dataset, GridSpec, StudyConfig,
-                      SweepSpec, evaluate, generate_capture_set, generate_sweep,
-                      run_experiment, write_cdf_csv, write_grid_csv, write_report)
+                      SweepSpec, build_study_config, evaluate, generate_capture_set,
+                      generate_sweep, parse_config_file, run_experiment,
+                      write_cdf_csv, write_grid_csv, write_report)
 from .learn import (MODEL_KINDS, fit_forest, fit_gbt, fit_mlp, fit_position_model,
                     fit_tree, load_model, save_model)
 from .render import (apply_rolling_shutter, base_brightness, rasterize_panel,
@@ -156,8 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="exhaustive pose sweep to a features CSV",
                        **param_flags)
     s.add_argument("--out", required=True)
-    s.add_argument("--heights", dest="heights_m", type=_heights, default="1.3,1.66",
-                   help="comma list, meters")
+    s.add_argument("--heights", dest="heights_m", type=_heights,
+                   default=StudyConfig.heights_capture, help="comma list, meters")
     s.add_argument("--step", dest="angle_step_deg", type=int,
                    help="attitude step, degrees")
     s.add_argument("--extent", dest="extent_m", type=float)
@@ -169,7 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("capture", help="randomized noisy capture set to a features CSV",
                        **param_flags)
     s.add_argument("--out", required=True)
-    s.add_argument("--heights", dest="heights_m", type=_heights, default="1.3,1.66")
+    s.add_argument("--heights", dest="heights_m", type=_heights,
+                   default=StudyConfig.heights_capture)
     s.add_argument("--per-location", type=int)
     s.add_argument("--extent", dest="extent_m", type=float)
     s.add_argument("--spacing", dest="spacing_m", type=float)

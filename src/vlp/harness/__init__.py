@@ -1,5 +1,6 @@
 """Experiment harness: pose sweeps, synthetic capture sets, dataset
-splits, error evaluation, deterministic reports, and the canned studies."""
+splits, error evaluation, deterministic reports, and the canned studies
+with their config files."""
 
 from .sweep import (
     GridSpec,
@@ -10,9 +11,10 @@ from .sweep import (
     generate_capture_set,
     split,
 )
-from .evaluate import EvalReport, evaluate
-from .report import render_report_json, write_report, write_cdf_csv, write_grid_csv, write_grid_svg
-from .studies import STUDIES, StudyConfig, run_experiment
+from .report import (EvalReport, evaluate, render_report_json, write_report,
+                     write_cdf_csv, write_grid_csv, write_grid_svg)
+from .studies import (STUDIES, StudyConfig, build_study_config, parse_config_file,
+                      run_experiment)
 
 __all__ = [
     "GridSpec",
@@ -32,4 +34,6 @@ __all__ = [
     "STUDIES",
     "StudyConfig",
     "run_experiment",
+    "parse_config_file",
+    "build_study_config",
 ]

@@ -1,26 +1,89 @@
-"""Deterministic report emission: canonical JSON, CDF and per-grid CSV,
-and a dependency-free SVG heat map.
+"""Evaluation reports: positioning error metrics (Euclidean 3D error in
+centimeters, CDFs, percentiles and per-grid-location aggregation) and
+their deterministic emission as canonical JSON, CDF and per-grid CSV, and
+a dependency-free SVG heat map.
 
-Everything here must be byte-stable for identical inputs: keys are sorted,
-floats serialize through repr, and nothing stamps times or hostnames.
+Everything written here must be byte-stable for identical inputs: keys are
+sorted, floats serialize through repr, and nothing stamps times or
+hostnames.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .evaluate import EvalReport
+from ..errors import EmptyTestSet
+from ..learn.model import AXES
+from .sweep import Dataset
 
-__all__ = ["render_report_json", "write_report", "write_cdf_csv",
-           "write_grid_csv", "write_grid_svg"]
+__all__ = ["EvalReport", "evaluate", "render_report_json", "write_report",
+           "write_cdf_csv", "write_grid_csv", "write_grid_svg"]
+
+
+@dataclass
+class EvalReport:
+    """Evaluation summary over a test set.
+
+    CDF arrays are the sorted error samples; the empirical CDF is the step
+    function through (value[k], (k+1)/n). p90 uses the inverted-CDF
+    percentile (a sample value, not an interpolation).
+    """
+
+    n_rows: int
+    mean_3d_error_cm: float
+    p90_error_cm: float
+    max_error_cm: float
+    axis_mean_cm: dict
+    axis_p90_cm: dict
+    cdf_3d_cm: np.ndarray
+    cdf_axis_cm: dict
+    per_grid: list
+    dropped_rows: int = 0
+    config: dict = field(default_factory=dict)
+
+
+def evaluate(model, test: Dataset, *, config: dict | None = None) -> EvalReport:
+    """Predict every test row and summarize the error distribution."""
+    if len(test) == 0:
+        raise EmptyTestSet("evaluation needs at least one test row")
+    preds = model.predict(test.features)
+    diff = preds - test.targets
+    e3 = 100.0 * np.linalg.norm(diff, axis=1)
+    eaxis = 100.0 * np.abs(diff)
+
+    per_grid = []
+    for (h, i, j), rows in test.locations():
+        per_grid.append({
+            "height_m": h,
+            "grid_i": i,
+            "grid_j": j,
+            "mean_error_cm": float(e3[rows].mean()),
+            "count": int(rows.size),
+        })
+
+    p90 = float(np.percentile(e3, 90, method="inverted_cdf"))
+    return EvalReport(
+        n_rows=len(test),
+        mean_3d_error_cm=float(e3.mean()),
+        p90_error_cm=p90,
+        max_error_cm=float(e3.max()),
+        axis_mean_cm={a: float(eaxis[:, k].mean()) for k, a in enumerate(AXES)},
+        axis_p90_cm={a: float(np.percentile(eaxis[:, k], 90, method="inverted_cdf"))
+                     for k, a in enumerate(AXES)},
+        cdf_3d_cm=np.sort(e3),
+        cdf_axis_cm={a: np.sort(eaxis[:, k]) for k, a in enumerate(AXES)},
+        per_grid=per_grid,
+        dropped_rows=test.dropped,
+        config=dict(config or {}),
+    )
 
 
 def render_report_json(report: EvalReport) -> str:
     """The report's fields by name, arrays as lists."""
-    return json.dumps(dataclasses.asdict(report), sort_keys=True,
+    return json.dumps(asdict(report), sort_keys=True,
                       separators=(",", ":"), default=np.ndarray.tolist) + "\n"
 
 

@@ -2,9 +2,7 @@
 second-order gradient-boosted trees, and a small MLP baseline, wrapped
 per axis into a 3D position model."""
 
-from .tree import Tree, fit_tree
-from .forest import Forest, fit_forest
-from .gbt import GbtModel, fit_gbt
+from .tree import Forest, GbtModel, Tree, fit_forest, fit_gbt, fit_tree
 from .mlp import Mlp, fit_mlp, loss_and_grads
 from .model import (
     MODEL_KINDS,

@@ -15,9 +15,7 @@ from inspect import signature
 import numpy as np
 
 from ..errors import BadFeatures, MalformedModel
-from .tree import Tree, fit_tree
-from .forest import Forest, fit_forest
-from .gbt import GbtModel, fit_gbt
+from .tree import Forest, GbtModel, Tree, fit_forest, fit_gbt, fit_tree
 from .mlp import Mlp, fit_mlp
 
 __all__ = ["MODEL_KINDS", "PositionModel", "fit_position_model", "save_model",

@@ -1,5 +1,6 @@
-"""Regression trees and the one exact greedy grower behind CART trees,
-bagged forests and gradient-boosted trees.
+"""Regression trees, the one exact greedy grower behind them, and the
+three tree learners built on it: CART trees, bagged forests of CART trees
+averaged for prediction, and gradient-boosted trees.
 
 Trees are stored as flat parallel node arrays rather than linked node
 objects: node i is a split when feature[i] >= 0 (rows with
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tree", "fit_tree", "grow_tree"]
+__all__ = ["Tree", "fit_tree", "grow_tree", "Forest", "fit_forest",
+           "GbtModel", "fit_gbt"]
 
 
 class Tree:
@@ -157,3 +159,93 @@ def fit_tree(features, targets, *, max_depth: int | None = None) -> Tree:
     x, y = _validate_xy(features, targets)
     _check_depth(max_depth)
     return grow_tree(x, -y, max_depth=max_depth, reg_lambda=0.0)
+
+
+class Forest:
+    """Mean of n independently grown trees."""
+
+    __slots__ = ("trees",)
+
+    def __init__(self, trees):
+        self.trees = list(trees)
+        if not self.trees:
+            raise ValueError("forest needs at least one tree")
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """The trees' mean prediction for each row of an (N, n_features)
+        matrix."""
+        x = np.asarray(features, dtype=np.float64)
+        acc = np.zeros(x.shape[0], dtype=np.float64)
+        for t in self.trees:
+            acc += t.predict(x)
+        return acc / len(self.trees)
+
+
+def fit_forest(features, targets, *, n_trees: int = 150, seed=None) -> Forest:
+    """Grow n_trees CART trees on bootstrap resamples (N draws with
+    replacement).
+
+    Each tree gets its own child seed spawned from `seed`, so the model is
+    reproducible for a fixed seed no matter how trees might be scheduled.
+    Trees follow common regression practice: unlimited depth, leaves of
+    one, every feature considered at every split.
+    """
+    x, y = _validate_xy(features, targets)
+    if x.shape[0] < 2:
+        raise ValueError("forest training needs at least 2 rows")
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
+    n = x.shape[0]
+    trees: list[Tree] = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rows = np.random.default_rng(child).integers(0, n, size=n)
+        trees.append(fit_tree(x[rows], y[rows]))
+    return Forest(trees)
+
+
+class GbtModel:
+    """Stagewise additive tree model under shrinkage."""
+
+    __slots__ = ("base_score", "learning_rate", "trees")
+
+    def __init__(self, base_score: float, learning_rate: float, trees):
+        self.base_score = float(base_score)
+        self.learning_rate = float(learning_rate)
+        self.trees = list(trees)
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Predicted value for each row of an (N, n_features) matrix."""
+        x = np.asarray(features, dtype=np.float64)
+        acc = np.full(x.shape[0], self.base_score, dtype=np.float64)
+        for t in self.trees:
+            acc += self.learning_rate * t.predict(x)
+        return acc
+
+
+def fit_gbt(features, targets, *, rounds: int = 150, learning_rate: float = 0.3,
+            max_depth: int | None = 6, reg_lambda: float = 1.0) -> GbtModel:
+    """Boost `rounds` trees on squared loss with second-order split gains.
+
+    Each round grows one tree with grow_tree on the per-row gradients
+    g_i = pred_i - y_i with unit hessians, so splits are scored by the
+    second-order gain and leaves hold -G/(H + lambda). The ensemble
+    prediction is base_score + learning_rate * sum of tree outputs; the
+    base score is the target mean. Growth has no random choices, so the
+    fit takes no seed.
+    """
+    x, y = _validate_xy(features, targets)
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
+    _check_depth(max_depth)
+    if reg_lambda < 0:
+        raise ValueError("reg_lambda must be >= 0")
+    base = float(y.mean())
+    pred = np.full(x.shape[0], base, dtype=np.float64)
+    trees: list[Tree] = []
+    for _ in range(rounds):
+        tree = grow_tree(x, pred - y, max_depth=max_depth, reg_lambda=reg_lambda)
+        pred += learning_rate * tree.predict(x)
+        trees.append(tree)
+    return GbtModel(base, learning_rate, trees)

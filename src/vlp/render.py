@@ -88,7 +88,7 @@ class Frame:
     renders the jittered quad with the stored factors, and pixel noise is
     drawn only in a window around the quad, since a rendered frame is black
     outside it. Frames loaded from disk have none: they take neither the
-    shutter nor corner jitter, and their pixel noise covers the whole frame.
+    shutter nor capture noise.
     """
 
     __slots__ = ("pixels", "meta", "quad", "fill", "row_factors")
@@ -314,12 +314,9 @@ def apply_rolling_shutter(frame: Frame, quad: CornerSet, w: Waveform, *,
     return Frame(px, meta, quad=quad, fill=frame.fill, row_factors=factors)
 
 
-def _noise_window(quad: CornerSet | None, shape: tuple[int, int]) -> tuple[slice, slice]:
+def _noise_window(quad: CornerSet, shape: tuple[int, int]) -> tuple[slice, slice]:
     """Rows and columns that get pixel noise: the quad's pixel bounding box
-    grown by NOISE_MARGIN_PX and clipped to the frame, or the whole frame
-    when there is no quad."""
-    if quad is None:
-        return slice(None), slice(None)
+    grown by NOISE_MARGIN_PX and clipped to the frame."""
     size = shape[::-1]  # (width, height), in the points' (u, v) order
     lo = np.clip(np.floor(quad.points.min(axis=0)) - NOISE_MARGIN_PX, 0, size)
     hi = np.clip(np.ceil(quad.points.max(axis=0)) + NOISE_MARGIN_PX, lo, size)
@@ -332,8 +329,8 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     """Capture imperfection model: quad corners jittered by an isotropic
     Gaussian (the jittered quad rendered at the frame's fill and row
     factors), then a black-level pedestal of 3 * pixel_sigma plus Gaussian
-    pixel noise, clipped to [0, 255]. Corner jitter on a frame without
-    generation provenance raises ValueError.
+    pixel noise, clipped to [0, 255]. Any non-zero noise on a frame
+    without generation provenance (read from disk) raises ValueError.
 
     The pedestal keeps the background noise two-sided, so its sample std
     matches pixel_sigma instead of the half-clipped value. Pixel noise is
@@ -343,7 +340,7 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     full scale that background sits about 22 sigma below the binarization
     threshold, so no stage can tell it from a noisy one; a sigma large
     enough to cross the threshold would show false blobs only inside the
-    window. A frame without a quad gets noise everywhere.
+    window.
 
     Zero sigma and zero jitter return the input frame bit-identically.
     seed is anything np.random.default_rng takes; a Generator is used as
@@ -356,11 +353,11 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
         raise ValueError("noise magnitudes must be non-negative")
     if corner_jitter_px == 0 and pixel_sigma == 0:
         return frame
+    if frame.quad is None or frame.fill is None:
+        raise ValueError("capture noise requires a frame with generation provenance")
     rng = np.random.default_rng(seed)
     quad = frame.quad
     if corner_jitter_px > 0:
-        if frame.quad is None or frame.fill is None:
-            raise ValueError("corner jitter requires a frame with generation provenance")
         jittered = frame.quad.points + rng.normal(0.0, corner_jitter_px, size=(4, 2))
         px = _render_quad(frame.pixels.shape, jittered, frame.fill, frame.row_factors)
         quad = CornerSet(jittered[canonical_order(jittered)])

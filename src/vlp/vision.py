@@ -48,8 +48,6 @@ def close_mask(mask: np.ndarray, radius_px: int) -> np.ndarray:
     """
     if radius_px < 0:
         raise ValueError("radius must be >= 0")
-    if radius_px == 0:
-        return mask.copy()
     # the dilation reaches radius past the edges, and the erosion reads it there
     size = 2 * radius_px + 1
     grown = _square_window(np.pad(mask, 2 * radius_px), size, np.logical_or)

@@ -228,9 +228,9 @@ def reference_refill(frame, quad_points: np.ndarray) -> np.ndarray:
 
 def reference_pixel_noise(pixels: np.ndarray, sigma: float,
                           rng: np.random.Generator) -> np.ndarray:
-    """The pixel-noise step of vlp.render.add_capture_noise over a whole
-    frame, written out: every pixel plus a 3-sigma pedestal plus one
-    Gaussian draw from rng, rounded and clipped to [0, 255]."""
+    """The pixel-noise step of vlp.render.add_capture_noise over the pixels
+    of its noise window, written out: every pixel plus a 3-sigma pedestal
+    plus one Gaussian draw from rng, rounded and clipped to [0, 255]."""
     noisy = pixels.astype(np.float64) + 3.0 * sigma
     noisy += rng.normal(0.0, sigma, size=pixels.shape)
     return np.clip(np.rint(noisy), 0.0, 255.0).astype(np.uint8)

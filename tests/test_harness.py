@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from conftest import rng
-from vlp.config import build_study_config, parse_config_file
 from vlp.errors import (BehindCamera, ConfigError, EmptyTestSet, InsufficientRows,
                         MalformedCsv)
 from vlp.geometry import (
@@ -30,9 +29,11 @@ from vlp.harness import (
     GridSpec,
     StudyConfig,
     SweepSpec,
+    build_study_config,
     evaluate,
     generate_capture_set,
     generate_sweep,
+    parse_config_file,
     render_report_json,
     run_experiment,
     split,
@@ -485,6 +486,52 @@ def test_config_errors_name_the_key(tmp_path):
         build_study_config({})
     with pytest.raises(ConfigError, match="unknown model kind"):
         build_study_config({"study": "model-selection", "models.kinds": "svm"})
+
+
+# config key -> (a raw value, the StudyConfig field value it parses to); every
+# value differs from the field's default
+_CONFIG_SAMPLES = {
+    "study": ("sim-vs-capture", "sim-vs-capture"),
+    "seed": ("7", 7),
+    "grid.extent_m": ("0.4", 0.4),
+    "grid.spacing_m": ("0.1", 0.1),
+    "sweep.angle_step_deg": ("30", 30),
+    "capture.per_location": ("3", 3),
+    "capture.test_per_location": ("1", 1),
+    "capture.yaw_limit_deg": ("5", 5.0),
+    "capture.tilt_max_deg": ("8.5", 8.5),
+    "noise.corner_jitter_px": ("0.5", 0.5),
+    "noise.pixel_sigma": ("0.01", 0.01),
+    "heights.capture": ("1.3, 1.5", (1.3, 1.5)),
+    "heights.sweep_train": ("1.5", (1.5,)),
+    "heights.test": ("1.4,1.45", (1.4, 1.45)),
+    "models.kinds": ("gbt, forest", ("gbt", "forest")),
+    "models.forest_trees": ("5", 5),
+    "models.gbt_rounds": ("4", 4),
+    "models.gbt_depth": ("3", 3),
+    "models.gbt_lr": ("0.25", 0.25),
+    "models.mlp_epochs": ("3", 3),
+    "models.mlp_batch": ("16", 16),
+}
+
+
+def test_config_keys_match_study_config_fields():
+    # one key per field, and every key names a field
+    key_fields = [name for name, _ in studies_mod._KEYS.values()]
+    field_names = list(StudyConfig.__dataclass_fields__)
+    assert sorted(key_fields) == sorted(field_names)
+    assert set(_CONFIG_SAMPLES) == set(studies_mod._KEYS)
+    defaults = StudyConfig(study="model-selection")
+    for key, (raw, want) in _CONFIG_SAMPLES.items():
+        name = studies_mod._KEYS[key][0]
+        assert getattr(defaults, name) != want, key
+        cfg = build_study_config({"study": "model-selection", key: raw})
+        got = getattr(cfg, name)
+        assert got == want and type(got) is type(want), key
+    # all together, the sim-vs-capture study fitting both its kinds
+    cfg = build_study_config({k: raw for k, (raw, _) in _CONFIG_SAMPLES.items()})
+    for key, (_, want) in _CONFIG_SAMPLES.items():
+        assert getattr(cfg, studies_mod._KEYS[key][0]) == want, key
 
 
 @pytest.mark.parametrize("fields, match", [

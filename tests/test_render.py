@@ -293,20 +293,29 @@ def test_pixel_noise_stays_in_the_window(intr, panel):
             assert inside[:, 0].any()
 
 
-def test_frame_without_quad_gets_whole_frame_noise(tmp_path, intr, panel):
-    """A frame read from disk has no quad: its noise equals the written-out
-    whole-frame draw from the generator's first child, bit for bit."""
-    pose = nadir_pose(0.2, 0.1, 1.3)
-    base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+def test_window_noise_matches_oracle_and_disk_frame_raises(tmp_path, intr, panel):
+    """With no jitter the noise window's pixels equal the written-out draw
+    over the same window of the input, from the generator's first child,
+    bit for bit, and every pixel outside it is the bare pedestal. A frame
+    read from disk has no provenance: any non-zero noise on it raises."""
+    for pose in (nadir_pose(0.2, 0.1, 1.3), nadir_pose(0.5, 0.0, 1.3)):
+        base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+        inside = _window_mask(base.quad, base.pixels.shape)
+        for sigma, seed in ((5.1, 3), (2.0, 8)):
+            want = reference_pixel_noise(base.pixels[inside], sigma,
+                                         rng(seed).spawn(1)[0])
+            for given in (seed, rng(seed)):
+                noisy = add_capture_noise(base, 0.0, sigma, given)
+                assert noisy.quad is base.quad
+                np.testing.assert_array_equal(noisy.pixels[inside], want)
+                assert (noisy.pixels[~inside] == round(3 * sigma)).all()
     path = tmp_path / "plain.pgm"
     write_pgm(base, path)
     frame = read_pgm(path)
-    for sigma, seed in ((5.1, 3), (2.0, 8)):
-        want = reference_pixel_noise(frame.pixels, sigma, rng(seed).spawn(1)[0])
-        for given in (seed, rng(seed)):
-            noisy = add_capture_noise(frame, 0.0, sigma, given)
-            assert noisy.quad is None
-            np.testing.assert_array_equal(noisy.pixels, want)
+    assert add_capture_noise(frame, 0.0, 0.0, 3) is frame
+    for jitter, sigma in ((0.0, 2.0), (1.0, 0.0), (1.0, 2.0)):
+        with pytest.raises(ValueError, match="provenance"):
+            add_capture_noise(frame, jitter, sigma, 3)
 
 
 def test_pixel_noise_never_moves_saturated_corners(intr, panel):
