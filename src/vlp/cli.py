@@ -56,7 +56,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_capture(args) -> int:
     spec = CaptureSpec(grid=GridSpec(**_given(args, GridSpec)),
                        **_given(args, CaptureSpec))
-    ds = generate_capture_set(spec, CameraIntrinsics(), LedPanel())
+    ds = generate_capture_set(spec)
     ds.to_csv(args.out)
     print(f"captured {len(ds)} rows ({ds.dropped} dropped) -> {args.out}")
     return 0

@@ -106,9 +106,7 @@ class RowProfile:
 def extract_row_profile(frame: Frame, quad: CornerSet) -> RowProfile:
     """Mean in-quad pixel value for every image row the quad interior
     touches, scaled to [0, 1]."""
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(
-        quad.points, frame.width_px, frame.height_px
-    )
+    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(quad, frame.width_px, frame.height_px)
     covered = col_hi >= col_lo
     if row_hi <= row_lo or not covered.any():
         raise EmptyQuad("quad covers no pixel centers inside the frame")

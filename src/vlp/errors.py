@@ -74,7 +74,7 @@ class SaturatedFrame(VisionFailure):
 
 
 class DegenerateQuad(VisionFailure):
-    """Corner set contains duplicate or collinear points."""
+    """Corner set contains duplicate or collinear points, or forms a non-convex quad."""
 
 
 class InsufficientRows(VlpError):

@@ -135,7 +135,8 @@ class LedPanel:
 
 
 class CornerSet:
-    """Four ordered pixel-space corners, shape (4, 2), canonically ordered."""
+    """Four pixel-space corners, shape (4, 2), in canonical order: any four
+    finite points, put in the order canonical_order gives them."""
 
     __slots__ = ("points",)
 
@@ -145,15 +146,9 @@ class CornerSet:
             raise ValueError(f"corner set must be 4x2, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("corner coordinates must be finite")
-        pts = pts.copy()
+        pts = pts[canonical_order(pts)]  # a copy
         pts.flags.writeable = False
         self.points = pts
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
 
     def __eq__(self, other):
         return isinstance(other, CornerSet) and np.array_equal(self.points, other.points)
@@ -179,28 +174,25 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
 
 
 def order_corners(points) -> CornerSet:
-    """Canonical corner ordering: ascending angle about the centroid,
-    starting from the smallest angle measured from +u.
+    """The CornerSet of four points that form a convex quad.
 
-    Raises DegenerateQuad for duplicate points or any collinear triple.
+    The ordered quad's four turns, the cross products of each corner's two
+    successors about it, cover every triple of the four points. Raises
+    DegenerateQuad when a turn is below 1e-9 * max(1, the largest squared
+    pairwise distance), for duplicate points or a collinear triple, and
+    when the turns have both signs, for a non-convex quad.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(4, 2)
-    scale = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d2 = float(np.sum((pts[i] - pts[j]) ** 2))
-            scale = max(scale, d2)
-            if d2 < 1e-18:
-                raise DegenerateQuad(f"duplicate corner points at index {i} and {j}")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                cross = (pts[j, 0] - pts[i, 0]) * (pts[k, 1] - pts[i, 1]) - (
-                    pts[j, 1] - pts[i, 1]
-                ) * (pts[k, 0] - pts[i, 0])
-                if abs(cross) < 1e-9 * max(scale, 1.0):
-                    raise DegenerateQuad(f"collinear corner points {i}, {j}, {k}")
-    return CornerSet(pts[canonical_order(pts)])
+    corners = CornerSet(points)
+    pts = corners.points
+    gap = pts[:, None, :] - pts[None, :, :]
+    scale = max(1.0, float((gap * gap).sum(axis=-1).max()))
+    a, b = np.roll(pts, -1, axis=0) - pts, np.roll(pts, -2, axis=0) - pts
+    turn = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    if (np.abs(turn) < 1e-9 * scale).any():
+        raise DegenerateQuad("duplicate or collinear corner points")
+    if (turn > 0).any() and (turn < 0).any():
+        raise DegenerateQuad("corner points form a non-convex quad")
+    return corners
 
 
 def attitude_matrices(angles_deg: np.ndarray) -> np.ndarray:

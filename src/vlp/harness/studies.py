@@ -34,8 +34,11 @@ _STUDY_KINDS = {
     "height-generalization": (("gbt",), ("gbt",)),
 }
 STUDIES = tuple(_STUDY_KINDS)
-# model kind -> the study seed its fit draws from
-_KIND_SEED_SLOT = {"forest": 2, "gbt": 3, "mlp": 4, "tree": 6}
+# what draws from which of a study's eight seeds: model-selection's
+# captures, its split, each model kind's fit, and the captures of the two
+# sweep-trained studies
+_SEED_SLOT = {"selection-capture": 0, "split": 1, "forest": 2, "gbt": 3, "mlp": 4,
+              "sweep-trained-capture": 5, "tree": 6}
 
 
 @dataclass(frozen=True)
@@ -232,21 +235,25 @@ def run_experiment(cfg: StudyConfig, out_dir: str) -> dict[str, EvalReport]:
     """
     os.makedirs(out_dir, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(8, np.uint64)
+    seed_for = {use: int(seeds[slot]) for use, slot in _SEED_SLOT.items()}
     # each study builds its training set, its test sets keyed by variant,
     # and the capture set whose dropped rows the reports count
     if cfg.study == "model-selection":
-        caps = generate_capture_set(cfg.capture_spec(cfg.heights_capture, int(seeds[0])),
-                                    clean_reference=True)
-        train, noisy = split(caps, cfg.test_per_location, int(seeds[1]))
+        caps = generate_capture_set(
+            cfg.capture_spec(cfg.heights_capture, seed_for["selection-capture"]),
+            clean_reference=True)
+        train, noisy = split(caps, cfg.test_per_location, seed_for["split"])
         tests = {"test-clean": noisy.with_features(noisy.clean_features, CLEAN_TAG),
                  "test-noisy": noisy}
     elif cfg.study == "sim-vs-capture":
         train = generate_sweep(cfg.sweep_spec(cfg.heights_capture))
-        caps = generate_capture_set(cfg.capture_spec(cfg.heights_capture, int(seeds[5])))
+        caps = generate_capture_set(
+            cfg.capture_spec(cfg.heights_capture, seed_for["sweep-trained-capture"]))
         tests = {"test-capture": caps}
     else:  # height-generalization: train heights disjoint from test heights
         train = generate_sweep(cfg.sweep_spec(cfg.heights_sweep_train))
-        caps = generate_capture_set(cfg.capture_spec(cfg.heights_test, int(seeds[5])))
+        caps = generate_capture_set(
+            cfg.capture_spec(cfg.heights_test, seed_for["sweep-trained-capture"]))
         tests = {"test": caps}
         for h in cfg.heights_test:
             tests[f"test-h{h!r}"] = caps.subset(caps.height_m == float(h))
@@ -258,7 +265,7 @@ def run_experiment(cfg: StudyConfig, out_dir: str) -> dict[str, EvalReport]:
     reports: dict[str, EvalReport] = {}
     for kind in cfg.model_kinds:
         model = fit_position_model(train.features, train.targets, kind,
-                                   seed=int(seeds[_KIND_SEED_SLOT[kind]]), **params[kind])
+                                   seed=seed_for[kind], **params[kind])
         for variant, test in tests.items():
             report = evaluate(model, test, config=dict(base, variant=variant))
             reports[f"{kind}/{variant}"] = report

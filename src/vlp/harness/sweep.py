@@ -297,11 +297,10 @@ def _draw_attitude(rng: np.random.Generator, position: Vec3,
     return matrix_to_attitude(wob @ yaw_m @ aim)
 
 
-def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None,
-                         panel: LedPanel | None = None, *,
-                         clean_reference: bool = False) -> Dataset:
+def generate_capture_set(spec: CaptureSpec, *, clean_reference: bool = False) -> Dataset:
     """Render per_location random retained poses per grid location and
-    height, and extract features with the vision pipeline.
+    height with the default camera and panel, and extract features with the
+    vision pipeline.
 
     Attitude draws and noise draws come from separate seed streams, so a
     zero-noise rerun with the same spec visits identical poses. Poses
@@ -310,8 +309,7 @@ def generate_capture_set(spec: CaptureSpec, intr: CameraIntrinsics | None = None
     Dataset.dropped. clean_reference additionally extracts each pose's
     noise-free features into Dataset.clean_features.
     """
-    intr = intr or CameraIntrinsics()
-    panel = panel or LedPanel()
+    intr, panel = CameraIntrinsics(), LedPanel()
     coords = spec.grid.coordinates()
     n_side = spec.grid.side_count
     locations = [(h, i, j) for h in spec.heights_m

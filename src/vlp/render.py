@@ -22,7 +22,6 @@ from .geometry import (
     CornerSet,
     LedPanel,
     Pose,
-    canonical_order,
     project_panel_corners,
 )
 
@@ -200,7 +199,7 @@ def base_brightness(pose: Pose, panel: LedPanel, intr: CameraIntrinsics) -> floa
     return float(min(1.0, max(0.0, raw)))
 
 
-def _quad_row_spans(points: np.ndarray, width: int, height: int):
+def _quad_row_spans(quad: CornerSet, width: int, height: int):
     """Pixel-center column spans of a quad, per image row.
 
     Returns (row_lo, row_hi, col_lo, col_hi) where rows row_lo..row_hi-1
@@ -209,8 +208,7 @@ def _quad_row_spans(points: np.ndarray, width: int, height: int):
     covered pixel centers get col_lo > col_hi. Pixel (r, c) covers the unit
     square with center (c + 0.5, r + 0.5).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    pts = pts[canonical_order(pts)]
+    pts = quad.points
     vmin, vmax = pts[:, 1].min(), pts[:, 1].max()
     row_lo = max(0, int(math.ceil(vmin - 0.5)))
     row_hi = min(height, int(math.floor(vmax - 0.5)) + 1)
@@ -238,13 +236,13 @@ def _quad_row_spans(points: np.ndarray, width: int, height: int):
     return row_lo, row_hi, col_lo, col_hi
 
 
-def _render_quad(shape: tuple[int, int], points: np.ndarray, fill: int,
+def _render_quad(shape: tuple[int, int], quad: CornerSet, fill: int,
                  row_factors: np.ndarray | None = None) -> np.ndarray:
     """A zero uint8 raster of shape (height, width) with the quad's covered
     pixel centers on row r set to fill, or to rint(fill * row_factors[r])
     when per-row factors are given."""
     px = np.zeros(shape, dtype=np.uint8)
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(points, shape[1], shape[0])
+    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(quad, shape[1], shape[0])
     levels = np.full(row_hi - row_lo, fill, dtype=np.float64)
     if row_factors is not None:
         levels = np.rint(levels * row_factors[row_lo:row_hi])
@@ -264,7 +262,7 @@ def rasterize_panel(intr: CameraIntrinsics, pose: Pose, panel: LedPanel,
     """
     quad = project_panel_corners(intr, pose, panel)
     fill = int(round(255.0 * brightness))
-    px = _render_quad((intr.height_px, intr.width_px), quad.points, fill)
+    px = _render_quad((intr.height_px, intr.width_px), quad, fill)
     px.flags.writeable = False
     meta = FrameMeta(intr.exposure_us, intr.row_readout_us, intr.iso_gain)
     return Frame(px, meta, quad=quad, fill=fill)
@@ -309,7 +307,7 @@ def apply_rolling_shutter(frame: Frame, quad: CornerSet, w: Waveform, *,
     meta = frame.meta
     starts = np.arange(frame.height_px, dtype=np.float64) * meta.row_readout_us + phase_us
     factors = row_exposure_fractions(w, starts, meta.exposure_us)
-    px = _render_quad(frame.pixels.shape, quad.points, frame.fill, factors)
+    px = _render_quad(frame.pixels.shape, quad, frame.fill, factors)
     px.flags.writeable = False
     return Frame(px, meta, quad=quad, fill=frame.fill, row_factors=factors)
 
@@ -358,9 +356,8 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     rng = np.random.default_rng(seed)
     quad = frame.quad
     if corner_jitter_px > 0:
-        jittered = frame.quad.points + rng.normal(0.0, corner_jitter_px, size=(4, 2))
-        px = _render_quad(frame.pixels.shape, jittered, frame.fill, frame.row_factors)
-        quad = CornerSet(jittered[canonical_order(jittered)])
+        quad = CornerSet(quad.points + rng.normal(0.0, corner_jitter_px, size=(4, 2)))
+        px = _render_quad(frame.pixels.shape, quad, frame.fill, frame.row_factors)
     else:
         px = frame.pixels
     if pixel_sigma > 0:

@@ -303,24 +303,13 @@ def _fit_quad(pts: np.ndarray) -> np.ndarray:
 
 
 def _check_quad(corners: CornerSet, count: int) -> None:
-    """Reject non-quad blobs: the ordered corners must form a convex
-    quadrilateral covering at least 80% and at most 110% of the blob's
-    pixel count. Lines fitted around a curved outline enclose 22-26% more
-    than its pixels on discs of radius 15-200 px; a panel's lines enclose
-    at most the few percent that stripe merging notches and cuts off it."""
-    pts = corners.points
-    area2 = 0.0
-    for i in range(4):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % 4]
-        area2 += ax * by - bx * ay
-    area = abs(area2) / 2.0
-    scale = max(1.0, float(np.abs(pts).max()))
-    for i in range(4):
-        a, b, c = pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross * np.sign(area2) < -1e-9 * scale * scale:
-            raise VisionFailure("detected corners form a non-convex quad")
+    """Reject non-quad blobs: the corners' quad (convex, as order_corners
+    checks) must cover at least 80% and at most 110% of the blob's pixel
+    count. Lines fitted around a curved outline enclose 22-26% more than
+    its pixels on discs of radius 15-200 px; a panel's lines enclose at
+    most the few percent that stripe merging notches and cuts off it."""
+    u, v = corners.points.T
+    area = abs(float((u * np.roll(v, -1) - np.roll(u, -1) * v).sum())) / 2.0
     if area < 0.8 * count:
         raise VisionFailure(
             f"quad area {area:.0f} px^2 covers under 80% of the blob "
@@ -341,7 +330,8 @@ def extract_corners(frame: Frame, *, merge_radius: int = 0) -> CornerSet:
     Only a crop around the set pixels is thresholded; the largest blob is
     found among its runs, and its runs give the boundary points and the
     pixel count. The corners equal the full-frame pipeline's bit for bit.
-    Raises VisionFailure (or a subclass) when no plausible quad is found;
+    Raises VisionFailure (or a subclass) when no plausible quad is found:
+    DegenerateQuad when the fitted corners are not a convex quad;
     SaturatedFrame when the blob spans the sensor's full height or width,
     whose outline is then the frame's edge.
     """

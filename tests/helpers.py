@@ -204,7 +204,7 @@ def distance_to_quad_edges(pts: np.ndarray, quad: np.ndarray) -> np.ndarray:
     return d
 
 
-def reference_refill(frame, quad_points: np.ndarray) -> np.ndarray:
+def reference_refill(frame, quad) -> np.ndarray:
     """Re-rasterize a frame's quad at new corner positions, reapplying its
     stored shutter factors if any: one fill loop over the quad's row spans,
     then one full-height float scale of the covered rows. This is the
@@ -213,9 +213,7 @@ def reference_refill(frame, quad_points: np.ndarray) -> np.ndarray:
     from vlp.render import _quad_row_spans
 
     px = np.zeros_like(frame.pixels)
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(
-        quad_points, frame.width_px, frame.height_px
-    )
+    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(quad, frame.width_px, frame.height_px)
     for idx, r in enumerate(range(row_lo, row_hi)):
         if col_hi[idx] >= col_lo[idx]:
             px[r, col_lo[idx] : col_hi[idx] + 1] = frame.fill

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import nadir_pose
 from vlp.codec import (
-    DEFAULT_BIT_RATE_HZ,
     LedDatabase,
     LedRecord,
     RowProfile,
@@ -27,7 +26,8 @@ from vlp.codec import (
 from vlp.errors import (AmbiguousMatch, EmptyQuad, MalformedCsv, NoMatch, NoTransitions,
                         ProfileTooShort)
 from vlp.geometry import Vec3
-from vlp.render import _quad_row_spans, apply_rolling_shutter, base_brightness, rasterize_panel
+from vlp.render import (_quad_row_spans, apply_rolling_shutter, base_brightness,
+                        rasterize_panel, row_exposure_fractions)
 
 
 def test_id_bits_round_trip():
@@ -119,7 +119,7 @@ def test_extract_row_profile_sums_each_rows_span(intr, panel):
     px[::3, ::7] = 200  # so every in-quad pixel counts, not just the fill
     noisy = type(striped)(px, striped.meta)
     profile = extract_row_profile(noisy, striped.quad)
-    row_lo, _, col_lo, col_hi = _quad_row_spans(striped.quad.points, 1728, 2304)
+    row_lo, _, col_lo, col_hi = _quad_row_spans(striped.quad, 1728, 2304)
     assert profile.row_start == row_lo
     for i, value in enumerate(profile.values):
         span = px[row_lo + i, col_lo[i] : col_hi[i] + 1]
@@ -157,6 +157,22 @@ def test_decode_random_ids_and_phases(intr, panel):
         cands = dm_decode(profile, 2.5, 68.0)
         rec = match_id(cands, LedDatabase([LedRecord(int(led_id), Vec3(0, 0, 2.56))]))
         assert rec.id == int(led_id)
+
+
+@pytest.mark.parametrize("led_id", [0xB6, 0x5A, 0x0F])
+def test_decode_absorbs_a_one_row_fleck(led_id):
+    """A noise fleck that flips one row in the middle of a stripe run
+    merges back into the run, and the id's rotation class still ranks
+    first."""
+    values = row_exposure_fractions(dm_encode(led_id), np.arange(480) * 2.5, 68.0)
+    binary = values >= (values.max() + values.min()) / 2.0
+    starts = np.flatnonzero(np.diff(binary)) + 1  # every run's start but the first
+    k = int(np.searchsorted(starts, 240))
+    mid = (starts[k - 1] + starts[k]) // 2  # the middle of the run holding row 240
+    flecked = values.copy()
+    flecked[mid] = values.min() if binary[mid] else values.max()
+    cands = dm_decode(RowProfile(flecked, 0), 2.5, 68.0)
+    assert cands[0] == rotation_class(id_bits(led_id))
 
 
 def test_decode_needs_enough_rows(intr, panel):

@@ -235,13 +235,13 @@ def test_batch_project_matches_single(intr, panel):
 
 def test_in_fov_bounds_are_half_open(intr):
     inside = np.array([[0.0, 0.0], [1727.9, 0.0], [1727.9, 2303.9], [0.0, 2303.9]])
-    assert in_fov(CornerSet(inside[canonical_order(inside)]), intr)
+    assert in_fov(CornerSet(inside), intr)
     on_edge = inside.copy()
     on_edge[1] = [1728.0, 0.0]
-    assert not in_fov(CornerSet(on_edge[canonical_order(on_edge)]), intr)
+    assert not in_fov(CornerSet(on_edge), intr)
     negative = inside.copy()
     negative[0] = [-0.001, 0.0]
-    assert not in_fov(CornerSet(negative[canonical_order(negative)]), intr)
+    assert not in_fov(CornerSet(negative), intr)
 
 
 def test_on_sensor_is_in_fov_per_quad(intr):
@@ -284,13 +284,56 @@ def test_order_corners_rejects_degenerate_input():
         order_corners([[0, 0], [1, 1], [2, 2], [0, 5]])
 
 
+def _triple_loop_verdict(pts: np.ndarray) -> str:
+    """What a loop over the point triples says of four points: "collinear"
+    when a triple's cross product is below the order_corners bound,
+    "non-convex" when a point lies inside the other three's triangle, or
+    "" for a convex quad."""
+    def cross(i, j, k):
+        (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    scale = max(1.0, max(float(((pts[i] - pts[j]) ** 2).sum())
+                         for i, j in itertools.combinations(range(4), 2)))
+    if any(abs(cross(*t)) < 1e-9 * scale for t in itertools.combinations(range(4), 3)):
+        return "collinear"
+    for m in range(4):
+        i, j, k = (n for n in range(4) if n != m)
+        sides = [cross(i, j, m) > 0, cross(j, k, m) > 0, cross(k, i, m) > 0]
+        if all(sides) or not any(sides):
+            return "non-convex"
+    return ""
+
+
+def test_order_corners_matches_a_triple_loop():
+    g = rng(41)
+    sets = g.uniform(0.0, 100.0, size=(1500, 4, 2))
+    sets[:100, 2] = (sets[:100, 0] + sets[:100, 1]) / 2.0  # a collinear triple
+    sets[100:200, 3] = sets[100:200, 1]                      # a duplicate point
+    verdicts = {"collinear": 0, "non-convex": 0, "": 0}
+    for pts in sets:
+        verdict = _triple_loop_verdict(pts)
+        verdicts[verdict] += 1
+        if verdict:
+            with pytest.raises(DegenerateQuad, match=verdict):
+                order_corners(pts)
+        else:
+            assert order_corners(pts) == CornerSet(pts)
+    assert verdicts["collinear"] == 200 and min(verdicts["non-convex"], verdicts[""]) > 300
+
+
+def test_order_corners_rejects_reflex_corner():
+    # (5, 4) sits inside the triangle of the other three: angular ordering
+    # around the centroid keeps it, producing a reflex vertex
+    with pytest.raises(DegenerateQuad, match="non-convex"):
+        order_corners([[10.0, 10.0], [5.0, 4.0], [0.0, 0.0], [10.0, 0.0]])
+
+
 def test_corner_set_validation_and_equality():
     pts = [[1, 2], [3, 4], [5, 6], [7, 8]]
     cs = CornerSet(pts)
     assert cs == CornerSet(pts)
     assert cs != CornerSet([[0, 2], [3, 4], [5, 6], [7, 8]])
-    assert cs[1][0] == 3.0
-    assert len(list(iter(cs))) == 4
     assert "CornerSet[" in repr(cs)
     with pytest.raises(ValueError):
         CornerSet([[1, 2], [3, 4]])
@@ -306,6 +349,14 @@ def test_quarter_turn_yaw_cycles_canonical_corners(intr, panel):
     base = project_panel_corners(intr, nadir_pose(0.0, 0.0, 1.3, yaw=0.0), panel)
     turned = project_panel_corners(intr, nadir_pose(0.0, 0.0, 1.3, yaw=90.0), panel)
     np.testing.assert_allclose(turned.points, base.points, atol=1e-9)
+
+
+def test_corner_set_orders_any_permutation_to_the_same_bytes(intr, panel):
+    corners = project_panel_corners(intr, nadir_pose(0.05, -0.1, 1.5, yaw=33.0), panel)
+    for perm in itertools.permutations(range(4)):
+        got = CornerSet(corners.points[list(perm)]).points
+        assert got.tobytes() == corners.points.tobytes()
+        assert not got.flags.writeable
 
 
 def test_all_24_orderings_collapse_to_one(intr, panel):

@@ -10,13 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rng
 from vlp.errors import (BehindCamera, ConfigError, EmptyTestSet, InsufficientRows,
-                        MalformedCsv)
+                        MalformedCsv, TooFewCorners)
 from vlp.geometry import (
     Attitude,
-    CameraIntrinsics,
-    LedPanel,
     Pose,
     Vec3,
     in_fov,
@@ -244,10 +241,10 @@ def test_sweep_is_its_heights_in_order(intr, panel):
     assert [key for key, _ in ds.locations()] == sorted(keys)
 
 
-def test_split_partitions_per_location(intr, panel):
+def test_split_partitions_per_location():
     spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=4, seed=3,
                        corner_jitter_px=0.0, pixel_sigma=0.0)
-    ds = generate_capture_set(spec, intr, panel)
+    ds = generate_capture_set(spec)
     assert len(ds) == 16 and ds.dropped == 0
     train, test = split(ds, test_per_location=1, seed=11)
     assert len(train) == 12 and len(test) == 4
@@ -263,7 +260,7 @@ def test_split_partitions_per_location(intr, panel):
 def test_capture_zero_noise_matches_projection(intr, panel):
     spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=2, seed=5,
                        corner_jitter_px=0.0, pixel_sigma=0.0)
-    ds = generate_capture_set(spec, intr, panel)
+    ds = generate_capture_set(spec)
     assert len(ds) == 8
     for k in range(len(ds)):
         pose = Pose(Vec3(*ds.targets[k]),
@@ -272,12 +269,12 @@ def test_capture_zero_noise_matches_projection(intr, panel):
         assert float(np.abs(ds.features[k] - want).max()) < 2.0
 
 
-def test_capture_aims_near_the_panel(intr, panel):
+def test_capture_aims_near_the_panel():
     # the protocol points the boresight at the panel center before the
     # small dither, so every attitude stays within a degree of that aim
     spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=2, seed=6,
                        corner_jitter_px=0.0, pixel_sigma=0.0)
-    ds = generate_capture_set(spec, intr, panel)
+    ds = generate_capture_set(spec)
     from vlp.geometry import attitude_matrices
 
     rotations = attitude_matrices(ds.attitude)
@@ -290,18 +287,17 @@ def test_capture_aims_near_the_panel(intr, panel):
         assert ang < 0.2
 
 
-def test_capture_clean_reference_and_determinism(intr, panel):
+def test_capture_clean_reference_and_determinism():
     spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=1, seed=7,
                        corner_jitter_px=1.0, pixel_sigma=0.02)
-    a = generate_capture_set(spec, intr, panel, clean_reference=True)
-    b = generate_capture_set(spec, intr, panel, clean_reference=True)
+    a = generate_capture_set(spec, clean_reference=True)
+    b = generate_capture_set(spec, clean_reference=True)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.clean_features, b.clean_features)
     assert not np.array_equal(a.features, a.clean_features)
     assert a.source == "noisy-sim"
     # noise streams are separate: the zero-noise run visits the same poses
-    clean = generate_capture_set(
-        replace(spec, corner_jitter_px=0.0, pixel_sigma=0.0), intr, panel)
+    clean = generate_capture_set(replace(spec, corner_jitter_px=0.0, pixel_sigma=0.0))
     np.testing.assert_array_equal(clean.targets, a.targets)
     np.testing.assert_array_equal(clean.attitude, a.attitude)
     np.testing.assert_array_equal(clean.features, a.clean_features)
@@ -314,7 +310,7 @@ def test_capture_rejects_bad_noise():
         CaptureSpec((1.3,), corner_jitter_px=0.0, pixel_sigma=1.5)
 
 
-def test_capture_redraws_only_projection_failures(intr, panel, monkeypatch):
+def test_capture_redraws_only_projection_failures(monkeypatch):
     spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=1, seed=0,
                        corner_jitter_px=0.0, pixel_sigma=0.0)
     calls = []
@@ -327,7 +323,7 @@ def test_capture_redraws_only_projection_failures(intr, panel, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sweep_mod, "project_panel_corners", behind_once)
-    assert len(generate_capture_set(spec, intr, panel)) == 4
+    assert len(generate_capture_set(spec)) == 4
     assert len(calls) == 5  # the refused pose is drawn again
 
     def broken(*args):
@@ -335,7 +331,45 @@ def test_capture_redraws_only_projection_failures(intr, panel, monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "project_panel_corners", broken)
     with pytest.raises(RuntimeError, match="projector bug"):
-        generate_capture_set(spec, intr, panel)
+        generate_capture_set(spec)
+
+
+def test_capture_redraws_a_pose_out_of_view(monkeypatch):
+    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=1, seed=0,
+                       corner_jitter_px=0.0, pixel_sigma=0.0)
+    want = generate_capture_set(spec)
+    calls = []
+    real = sweep_mod.in_fov
+
+    def refuse_once(*args):
+        calls.append(args)
+        return len(calls) > 1 and real(*args)
+
+    monkeypatch.setattr(sweep_mod, "in_fov", refuse_once)
+    ds = generate_capture_set(spec)
+    assert len(ds) == len(want) == 4 and ds.dropped == 0
+    assert len(calls) == 5  # the refused pose is drawn again
+    np.testing.assert_array_equal(ds.features[1:], want.features[1:])
+
+
+def test_capture_drops_a_row_whose_extraction_fails(monkeypatch):
+    spec = CaptureSpec((1.3,), GridSpec(0.4, 0.4), per_location=1, seed=0,
+                       corner_jitter_px=0.0, pixel_sigma=0.0)
+    want = generate_capture_set(spec)
+    real = sweep_mod.extract_corners
+    calls = []
+
+    def fail_once(frame, **kw):
+        calls.append(frame)
+        if len(calls) == 1:
+            raise TooFewCorners("no quad in this frame")
+        return real(frame, **kw)
+
+    monkeypatch.setattr(sweep_mod, "extract_corners", fail_once)
+    ds = generate_capture_set(spec)
+    assert len(ds) == len(want) - 1 and ds.dropped == 1
+    np.testing.assert_array_equal(ds.features, want.features[1:])
+    np.testing.assert_array_equal(ds.targets, want.targets[1:])
 
 
 class _Stub:
@@ -561,11 +595,12 @@ def test_study_config_rejects_what_a_run_would(fields, match):
 
 
 def test_every_model_kind_has_its_own_seed_slot():
-    slots = studies_mod._KIND_SEED_SLOT
-    assert set(slots) == set(MODEL_KINDS)
-    # distinct from each other and from the capture (0, 5) and split (1) seeds
+    slots = studies_mod._SEED_SLOT
+    assert set(MODEL_KINDS) < set(slots)
+    # each of a study's eight seeds feeds at most one use: a fit, a capture
+    # set or the split
     assert len(set(slots.values())) == len(slots)
-    assert not set(slots.values()) & {0, 1, 5}
+    assert set(slots.values()) <= set(range(8))
 
 
 def test_study_config_validation():

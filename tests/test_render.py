@@ -16,10 +16,9 @@ from helpers import (
 )
 from vlp.codec import dm_encode
 from vlp.errors import MalformedFrame
-from vlp.geometry import Attitude, CameraIntrinsics, Pose, Vec3, canonical_order
+from vlp.geometry import Attitude, CameraIntrinsics, CornerSet, Pose, Vec3
 from vlp.render import (
     NOISE_MARGIN_PX,
-    Frame,
     FrameMeta,
     Waveform,
     add_capture_noise,
@@ -202,7 +201,7 @@ def test_shutter_matches_reference_refill(intr, panel):
             np.testing.assert_array_equal(
                 striped.row_factors, row_exposure_fractions(wave, starts, intr.exposure_us))
             np.testing.assert_array_equal(striped.pixels,
-                                          reference_refill(striped, striped.quad.points))
+                                          reference_refill(striped, striped.quad))
 
 
 def test_shutter_needs_generation_provenance(tmp_path, intr, panel):
@@ -243,11 +242,10 @@ def test_corner_jitter_matches_reference_refill(intr, panel):
                                         phase_us=float(g.uniform(0.0, wave.period_us)))
         for frame in (base, striped):
             seed = 1000 + k
-            jittered = frame.quad.points + rng(seed).normal(0.0, 1.5, size=(4, 2))
+            jittered = CornerSet(frame.quad.points + rng(seed).normal(0.0, 1.5, size=(4, 2)))
             noisy = add_capture_noise(frame, 1.5, 0.0, seed)
             np.testing.assert_array_equal(noisy.pixels, reference_refill(frame, jittered))
-            np.testing.assert_array_equal(noisy.quad.points,
-                                          jittered[canonical_order(jittered)])
+            assert noisy.quad == jittered
 
 
 def _window_mask(quad, shape) -> np.ndarray:

@@ -21,7 +21,6 @@ from vlp.codec import dm_encode, stripe_merge_radius
 from vlp.errors import EmptyMask, SaturatedFrame, TooFewCorners, VisionFailure
 from vlp.geometry import (
     Attitude,
-    CornerSet,
     Pose,
     Vec3,
     in_fov,
@@ -41,7 +40,6 @@ from vlp.vision import (
     THRESHOLD,
     _bbox,
     _boundary_points,
-    _check_quad,
     _fit_quad,
     _hull,
     _largest,
@@ -372,14 +370,6 @@ def test_disc_is_rejected_as_non_quad():
     disc = (yy - 150) ** 2 + (xx - 150) ** 2 <= 60 ** 2
     with pytest.raises(VisionFailure, match="curved outline"):
         extract_corners(_frame_from(disc))
-
-
-def test_check_quad_rejects_reflex_corner():
-    # (5, 4) sits inside the triangle of the other three: angular ordering
-    # around the centroid keeps it, producing a reflex vertex
-    pts = np.array([[10.0, 10.0], [5.0, 4.0], [0.0, 0.0], [10.0, 0.0]])
-    with pytest.raises(VisionFailure, match="non-convex"):
-        _check_quad(CornerSet(pts), 25)
 
 
 @settings(max_examples=300)
