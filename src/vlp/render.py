@@ -39,6 +39,9 @@ BRIGHTNESS_K = SATURATION_MARGIN * _ANCHOR_D_M**2 / (
 # Capture noise covers the quad's pixel box grown by this margin; beyond it
 # a rendered frame is black, and gets the bare noise pedestal.
 NOISE_MARGIN_PX = 16
+# Window rows drawn and applied at a time: a block's float temporaries stay
+# a few hundred KB (under 0.5 MB at full sensor width), not frame-sized.
+NOISE_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -334,7 +337,10 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     matches pixel_sigma instead of the half-clipped value. Pixel noise is
     drawn only inside the window around the (jittered) quad that
     _noise_window gives; every pixel outside it, black in a rendered frame,
-    gets the bare pedestal round(3 * pixel_sigma). At the default 0.02 of
+    gets the bare pedestal round(3 * pixel_sigma). The window is drawn and
+    applied NOISE_BLOCK_ROWS rows at a time, so no float temporary is
+    frame-sized; the generator draws in sequence, so the blocks' draws are
+    one window-sized draw bit for bit. At the default 0.02 of
     full scale that background sits about 22 sigma below the binarization
     threshold, so no stage can tell it from a noisy one; a sigma large
     enough to cross the threshold would show false blobs only inside the
@@ -361,12 +367,17 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     else:
         px = frame.pixels
     if pixel_sigma > 0:
-        window = _noise_window(quad, px.shape)
-        buf = px[window].astype(np.float64)
-        buf += 3.0 * pixel_sigma
-        buf += rng.spawn(1)[0].normal(0.0, pixel_sigma, size=buf.shape)
-        px = np.full(px.shape, np.clip(np.rint(3.0 * pixel_sigma), 0.0, 255.0), np.uint8)
-        px[window] = np.clip(np.rint(buf), 0.0, 255.0)
+        rows, cols = _noise_window(quad, px.shape)
+        child = rng.spawn(1)[0]
+        out = np.full(px.shape, np.clip(np.rint(3.0 * pixel_sigma), 0.0, 255.0), np.uint8)
+        for r in range(rows.start, rows.stop, NOISE_BLOCK_ROWS):
+            block = slice(r, min(r + NOISE_BLOCK_ROWS, rows.stop))
+            buf = px[block, cols].astype(np.float64)
+            buf += 3.0 * pixel_sigma
+            buf += child.normal(0.0, pixel_sigma, size=buf.shape)
+            np.rint(buf, out=buf)
+            out[block, cols] = np.clip(buf, 0.0, 255.0, out=buf)
+        px = out
     px.flags.writeable = False
     return Frame(px, frame.meta, quad=quad, fill=frame.fill,
                  row_factors=frame.row_factors)

@@ -224,18 +224,14 @@ def _hull(pts: np.ndarray) -> np.ndarray:
 def _widest_subset(pts: np.ndarray) -> list[int]:
     """Sorted indices of the four hull vertices (pts, in hull order) that
     span the largest quad: over every diagonal (i, j), the best apex on
-    each side is the vertex farthest from it."""
-    best, picks = -1.0, None
-    for i in range(len(pts)):
-        d = pts - pts[i]
-        # cross[j, k]: twice the signed area of triangle (i, j, k)
-        cross = d[:, None, 0] * d[None, :, 1] - d[:, None, 1] * d[None, :, 0]
-        span = cross.max(axis=1) - cross.min(axis=1)
-        j = int(span.argmax())
-        if span[j] > best:
-            best = float(span[j])
-            picks = [i, j, int(cross[j].argmax()), int(cross[j].argmin())]
-    return sorted(picks)
+    each side is the vertex farthest from it. The first widest diagonal in
+    row-major (i, j) order wins a tie."""
+    d = pts[None, :, :] - pts[:, None, :]
+    # cross[i, j, k]: twice the signed area of triangle (i, j, k)
+    cross = d[:, :, None, 0] * d[:, None, :, 1] - d[:, :, None, 1] * d[:, None, :, 0]
+    span = cross.max(axis=2) - cross.min(axis=2)
+    i, j = divmod(int(span.argmax()), len(pts))
+    return sorted([i, j, int(cross[i, j].argmax()), int(cross[i, j].argmin())])
 
 
 def _fit_line(pts: np.ndarray) -> tuple[np.ndarray, float]:

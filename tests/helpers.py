@@ -234,6 +234,22 @@ def reference_pixel_noise(pixels: np.ndarray, sigma: float,
     return np.clip(np.rint(noisy), 0.0, 255.0).astype(np.uint8)
 
 
+def reference_widest_subset(pts: np.ndarray) -> list[int]:
+    """vlp.vision._widest_subset written as a loop over the diagonal's first
+    vertex i: the widest diagonal from i is the first maximum over j, and
+    only a strictly wider one from a later i replaces it."""
+    best, picks = -1.0, None
+    for i in range(len(pts)):
+        d = pts - pts[i]
+        cross = d[:, None, 0] * d[None, :, 1] - d[:, None, 1] * d[None, :, 0]
+        span = cross.max(axis=1) - cross.min(axis=1)
+        j = int(span.argmax())
+        if span[j] > best:
+            best = float(span[j])
+            picks = [i, j, int(cross[j].argmax()), int(cross[j].argmin())]
+    return sorted(picks)
+
+
 def reference_largest_component(mask: np.ndarray):
     """The 8-connected component with the most pixels, by labelling every
     pixel (scipy.ndimage.label): (blob cropped to its bounding box, (row,

@@ -4,6 +4,8 @@ Fill areas are checked against hand-derived pixel counts and a
 half-plane point-in-quad oracle, not against the rasterizer itself.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from vlp.codec import dm_encode
 from vlp.errors import MalformedFrame
 from vlp.geometry import Attitude, CameraIntrinsics, CornerSet, Pose, Vec3
 from vlp.render import (
+    NOISE_BLOCK_ROWS,
     NOISE_MARGIN_PX,
     FrameMeta,
     Waveform,
@@ -314,6 +317,47 @@ def test_window_noise_matches_oracle_and_disk_frame_raises(tmp_path, intr, panel
     for jitter, sigma in ((0.0, 2.0), (1.0, 0.0), (1.0, 2.0)):
         with pytest.raises(ValueError, match="provenance"):
             add_capture_noise(frame, jitter, sigma, 3)
+
+
+def test_block_noise_matches_one_window_draw(intr, panel):
+    """Jitter plus pixel noise, drawn a block of rows at a time, equals one
+    draw over the whole window of the one-piece re-rasterization, from the
+    generator's first child after the jitter, bit for bit: on plain,
+    striped and sensor-edge frames whose windows end in a part block."""
+    g = rng(37)
+    for pose in (nadir_pose(0.1, -0.2, 1.35), nadir_pose(-0.3, 0.2, 1.66),
+                 nadir_pose(0.5, 0.0, 1.3)):
+        base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+        wave = dm_encode(int(g.integers(256)))
+        striped = apply_rolling_shutter(base, base.quad, wave,
+                                        phase_us=float(g.uniform(0.0, wave.period_us)))
+        for frame in (base, striped):
+            seed = int(g.integers(1 << 30))
+            draws = rng(seed)
+            jittered = CornerSet(frame.quad.points + draws.normal(0.0, 1.0, size=(4, 2)))
+            inside = _window_mask(jittered, frame.pixels.shape)
+            assert inside.any(axis=1).sum() % NOISE_BLOCK_ROWS != 0
+            want = reference_pixel_noise(reference_refill(frame, jittered)[inside], 5.1,
+                                         draws.spawn(1)[0])
+            noisy = add_capture_noise(frame, 1.0, 5.1, seed)
+            assert noisy.quad == jittered
+            np.testing.assert_array_equal(noisy.pixels[inside], want)
+            assert (noisy.pixels[~inside] == 15).all()
+    assert inside[:, 0].any()  # the last window meets the sensor edge
+
+
+def test_pixel_noise_working_set(intr, panel):
+    """One jitter-plus-noise call on a 1.3 m nadir frame allocates at most
+    2.5 frames: the jittered render and the noisy frame, plus one block's
+    float temporaries, not window-sized ones."""
+    frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.3), panel, 1.0)
+    tracemalloc.start()
+    try:
+        add_capture_noise(frame, 1.0, 5.1, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * frame.pixels.nbytes
 
 
 def test_pixel_noise_never_moves_saturated_corners(intr, panel):

@@ -7,7 +7,7 @@ tenth of a pixel on unmodulated frames.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage, spatial
 
@@ -16,6 +16,7 @@ from helpers import (
     reference_boundary_points,
     reference_extract_corners,
     reference_largest_component,
+    reference_widest_subset,
 )
 from vlp.codec import dm_encode, stripe_merge_radius
 from vlp.errors import EmptyMask, SaturatedFrame, TooFewCorners, VisionFailure
@@ -44,6 +45,7 @@ from vlp.vision import (
     _hull,
     _largest,
     _runs,
+    _widest_subset,
     close_mask,
     extract_corners,
 )
@@ -355,6 +357,18 @@ def test_hull_matches_qhull(pts, data):
     start = np.flatnonzero((want == got[0]).all(axis=1))
     assert start.size == 1 and len(got) == len(want)
     np.testing.assert_array_equal(np.roll(want, -start[0], axis=0), got)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=4, max_size=30))
+@example([(2, 0), (4, 0), (6, 2), (6, 4), (4, 6), (2, 6), (0, 4), (0, 2)])  # octagon
+def test_widest_subset_matches_loop_oracle(cells):
+    """The widest quad's four hull vertices, ties included, are the loop's:
+    on a small half-integer lattice equal spans are common."""
+    pts = np.array(cells, dtype=np.float64) / 2.0
+    hull = pts[_hull(pts)]
+    assume(len(hull) >= 4)
+    assert _widest_subset(hull) == reference_widest_subset(hull)
 
 
 @pytest.mark.parametrize("pts", [[[1.5, 2.0]] * 3, [[1.5, 2.0], [3.0, 2.5], [1.5, 2.0]],
