@@ -105,7 +105,8 @@ class RowProfile:
 
 def extract_row_profile(frame: Frame, quad: CornerSet) -> RowProfile:
     """Mean in-quad pixel value for every image row the quad interior
-    touches, scaled to [0, 1]."""
+    touches, scaled to [0, 1]. Each row's sum is an exact integer, taken
+    by one reduceat over the quad's bounding crop laid end to end."""
     row_lo, row_hi, col_lo, col_hi = _quad_row_spans(quad, frame.width_px, frame.height_px)
     covered = col_hi >= col_lo
     if row_hi <= row_lo or not covered.any():
@@ -117,9 +118,17 @@ def extract_row_profile(frame: Frame, quad: CornerSet) -> RowProfile:
         raise EmptyQuad("quad rows are not contiguous inside the frame")
     c0 = int(col_lo.min())
     block = frame.pixels[row_lo + first : row_lo + last, c0 : int(col_hi.max()) + 1]
-    cols = np.arange(c0, c0 + block.shape[1])
-    inside = (cols >= col_lo[:, None]) & (cols <= col_hi[:, None])
-    sums = block.sum(axis=1, dtype=np.int64, where=inside)
+    # a row sums to at most 255 * width, far inside int32: exact
+    flat = block.astype(np.int32).ravel()
+    # sum 2i is row i's span, flat[cuts[2i] : cuts[2i + 1]]; the sums
+    # between spans are dropped, so it does not matter that reduceat reads
+    # one element where a span ends just where the next row's begins
+    base = np.arange(block.shape[0]) * block.shape[1] - c0
+    cuts = np.column_stack([base + col_lo, base + col_hi + 1]).ravel()
+    # reduceat takes no cut at the array's end, and its last sum runs there
+    if cuts[-1] == flat.size:
+        cuts = cuts[:-1]
+    sums = np.add.reduceat(flat, cuts, dtype=np.int32)[0::2]
     counts = (col_hi - col_lo + 1).astype(np.float64)
     means = sums / counts / 255.0
     return RowProfile(values=means, row_start=row_lo + first)

@@ -5,8 +5,9 @@ averaged for prediction, and gradient-boosted trees.
 Trees are stored as flat parallel node arrays rather than linked node
 objects: node i is a split when feature[i] >= 0 (rows with
 x[feature] <= threshold descend left), otherwise a leaf predicting
-value[i]. Flat arrays keep batch prediction vectorizable and make the
-JSON model format a direct dump.
+value[i]. Flat arrays make the JSON model format a direct dump, and let
+one lockstep walk (_walk) predict every tree of a model at once: the
+trees' arrays laid end to end form one forest of node arrays.
 """
 
 from __future__ import annotations
@@ -39,15 +40,7 @@ class Tree:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted value for each row of an (N, n_features) matrix."""
-        x = np.asarray(features, dtype=np.float64)
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            live = np.flatnonzero(self.feature[node] >= 0)
-            if live.size == 0:
-                return self.value[node]
-            cur = node[live]
-            goes_left = x[live, self.feature[cur]] <= self.threshold[cur]
-            node[live] = np.where(goes_left, self.left[cur], self.right[cur])
+        return _walk([self], features)[0]
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -59,6 +52,51 @@ class Tree:
                 and np.array_equal(self.value, other.value))
 
     __hash__ = None
+
+
+# A walk's (trees x rows) temporaries stay within about this many bytes.
+WALK_BLOCK_BYTES = 1 << 20
+
+
+def _walk(trees, features) -> np.ndarray:
+    """(T, N) leaf values: row t holds trees[t]'s prediction for each row
+    of an (N, n_features) matrix.
+
+    The trees' node arrays are laid end to end, each tree's children
+    offset by the nodes before it, and every leaf made a split that sends
+    both ways to itself. Then every (tree, row) pair steps down at once,
+    one level per step, until none sits on a split. Rows go in blocks of
+    at most WALK_BLOCK_BYTES / (8 T), so the walk's temporaries stay
+    small whatever the ensemble and the batch."""
+    x = np.asarray(features, dtype=np.float64)
+    out = np.empty((len(trees), x.shape[0]), dtype=np.float64)
+    if not trees:
+        return out
+    sizes = [t.n_nodes for t in trees]
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    value = np.concatenate([t.value for t in trees])
+    split = feature >= 0
+    # children[2 i + 1] is node i's left child, children[2 i] its right one
+    children = np.empty((feature.size, 2), dtype=np.int64)
+    children[:, 0] = np.concatenate([t.right for t in trees]) + shift
+    children[:, 1] = np.concatenate([t.left for t in trees]) + shift
+    leaf = np.flatnonzero(~split)
+    children[leaf] = leaf[:, None]  # a leaf steps to itself, on feature 0
+    feature[leaf] = 0
+    children = children.ravel()
+    block = max(1, WALK_BLOCK_BYTES // (8 * len(trees)))
+    for lo in range(0, x.shape[0], block):
+        xb = x[lo : lo + block]
+        rows = np.arange(xb.shape[0])
+        node = np.repeat(roots[:, None], xb.shape[0], axis=1)
+        while split[node].any():
+            goes_left = xb[rows, feature[node]] <= threshold[node]
+            node = children[2 * node + goes_left]
+        out[:, lo : lo + block] = value[node]
+    return out
 
 
 def _validate_xy(features, targets):
@@ -174,10 +212,10 @@ class Forest:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """The trees' mean prediction for each row of an (N, n_features)
         matrix."""
-        x = np.asarray(features, dtype=np.float64)
-        acc = np.zeros(x.shape[0], dtype=np.float64)
-        for t in self.trees:
-            acc += t.predict(x)
+        values = _walk(self.trees, features)
+        acc = np.zeros(values.shape[1], dtype=np.float64)
+        for v in values:  # tree by tree, so every sum rounds in tree order
+            acc += v
         return acc / len(self.trees)
 
 
@@ -215,10 +253,10 @@ class GbtModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted value for each row of an (N, n_features) matrix."""
-        x = np.asarray(features, dtype=np.float64)
-        acc = np.full(x.shape[0], self.base_score, dtype=np.float64)
-        for t in self.trees:
-            acc += self.learning_rate * t.predict(x)
+        values = _walk(self.trees, features)
+        acc = np.full(values.shape[1], self.base_score, dtype=np.float64)
+        for v in values:  # tree by tree, so every sum rounds in tree order
+            acc += self.learning_rate * v
         return acc
 
 

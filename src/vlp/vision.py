@@ -254,29 +254,40 @@ def _fit_sides(pts: np.ndarray, hull: np.ndarray, quad: np.ndarray) -> np.ndarra
     points, then is refitted to its points within OUTLIER_PX of that edge:
     stripe merging cuts rows off a panel's top and bottom and notches its
     slanted sides, always inward, so the hull edge lies on the panel's edge.
+    One (hull edges x points) distance pass serves all four sides.
     Adjacent lines intersect in the corners."""
     ends = np.roll(quad, -1, axis=0) - quad
     length = np.hypot(ends[:, 0], ends[:, 1])
     if not (length > 2 * EDGE_TRIM_PX).all():
         raise TooFewCorners(f"quad side of {length.min():.1f} px is too short to fit")
     unit = ends / length[:, None]
-    rel = pts[None, :, :] - quad[:, None, :]                    # (4, n, 2)
-    along = rel[..., 0] * unit[:, None, 0] + rel[..., 1] * unit[:, None, 1]
-    off = np.abs(rel[..., 1] * unit[:, None, 0] - rel[..., 0] * unit[:, None, 1])
+    u, v = pts.T.copy()
+    du = u - quad[:, 0, None]                                   # (4, n)
+    dv = v - quad[:, 1, None]
+    along = du * unit[:, 0, None] + dv * unit[:, 1, None]
+    off = np.abs(dv * unit[:, 0, None] - du * unit[:, 1, None])
     off[(along < 0) | (along > length[:, None])] = np.inf
-    side = off.argmin(axis=0)
+    # the first side at the least distance, as argmin picks it; argmin down
+    # the short axis of a (4, n) array costs several times more
+    least = off == off.min(axis=0)
+    side = np.where(least[0], 0, np.where(least[1], 1, np.where(least[2], 2, 3)))
+    trimmed = (along >= EDGE_TRIM_PX) & (along <= (length - EDGE_TRIM_PX)[:, None])
+    kept = np.flatnonzero(trimmed[side, np.arange(side.size)])
+    # the kept points grouped by side (int8 keys sort by radix), each side's
+    # in their own order, so a side's fit sums its points as before
+    kept = kept[np.argsort(side[kept].astype(np.int8), kind="stable")]
+    bounds = np.searchsorted(side[kept], np.arange(5)).tolist()
     step = np.roll(hull, -1, axis=0) - hull
     normal = np.column_stack([-step[:, 1], step[:, 0]])
     normal /= np.hypot(step[:, 0], step[:, 1])[:, None]
     offset = normal[:, 0] * hull[:, 0] + normal[:, 1] * hull[:, 1]
+    dist = np.abs(normal[:, 0, None] * u[kept] + normal[:, 1, None] * v[kept]
+                  - offset[:, None])                            # (hull edges, points)
+    near = dist <= SEED_PX
     lines = []
-    for k in range(4):
-        mine = pts[(side == k) & (along[k] >= EDGE_TRIM_PX)
-                   & (along[k] <= length[k] - EDGE_TRIM_PX)]
-        dist = np.abs(mine[:, None, 0] * normal[:, 0] + mine[:, None, 1] * normal[:, 1]
-                      - offset)                                 # (points, hull edges)
-        seed = int((dist <= SEED_PX).sum(axis=0).argmax())
-        lines.append(_fit_line(mine[dist[:, seed] <= OUTLIER_PX]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        seed = int(np.count_nonzero(near[:, lo:hi], axis=1).argmax())
+        lines.append(_fit_line(pts[kept[lo:hi][dist[seed, lo:hi] <= OUTLIER_PX]]))
     n, c = (np.array(x) for x in zip(*lines))
     n0, c0 = np.roll(n, 1, axis=0), np.roll(c, 1)  # side k - 1 meets side k
     det = n0[:, 0] * n[:, 1] - n0[:, 1] * n[:, 0]

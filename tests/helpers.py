@@ -107,6 +107,42 @@ def walk_leaves(tree, x: np.ndarray):
         stack.append((int(tree.right[node]), idx[~goes_left]))
 
 
+def reference_tree_predict(tree, x: np.ndarray) -> np.ndarray:
+    """One tree's predictions, walked the per-tree way: every row starts at
+    the root, and the rows still on a split step down one level at a time
+    until every row sits on a leaf."""
+    x = np.asarray(x, dtype=np.float64)
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        live = np.flatnonzero(tree.feature[node] >= 0)
+        if live.size == 0:
+            return tree.value[node]
+        cur = node[live]
+        goes_left = x[live, tree.feature[cur]] <= tree.threshold[cur]
+        node[live] = np.where(goes_left, tree.left[cur], tree.right[cur])
+
+
+def reference_predict(model, x: np.ndarray) -> np.ndarray:
+    """A Tree's, Forest's or GbtModel's predictions from one
+    reference_tree_predict per tree, summed tree by tree: a forest adds its
+    trees' values to zeros and divides by their number, a gbt adds each
+    tree's value times the learning rate to the base score."""
+    from vlp.learn import Forest, GbtModel
+
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(model, Forest):
+        acc = np.zeros(x.shape[0], dtype=np.float64)
+        for t in model.trees:
+            acc += reference_tree_predict(t, x)
+        return acc / len(model.trees)
+    if isinstance(model, GbtModel):
+        acc = np.full(x.shape[0], model.base_score, dtype=np.float64)
+        for t in model.trees:
+            acc += model.learning_rate * reference_tree_predict(t, x)
+        return acc
+    return reference_tree_predict(model, x)
+
+
 def gbt_leaf_identity_errors(model, x: np.ndarray, y: np.ndarray,
                              reg_lambda: float = 1.0) -> list:
     """Relative error |w - (-G/(H+lambda))| / max(|w|, 1e-12) for every
@@ -308,3 +344,62 @@ def reference_extract_corners(frame, merge_radius: int = 0):
     corners = order_corners(_fit_quad(reference_boundary_points(blob, origin)))
     _check_quad(corners, count)
     return corners
+
+
+def reference_row_profile(frame, quad) -> tuple[np.ndarray, int]:
+    """vlp.codec.extract_row_profile's (values, row_start) from a masked
+    sum: each covered row's in-span pixels of the quad's bounding crop,
+    summed in int64 under a (rows, columns) mask, over the span's pixel
+    count, over 255."""
+    from vlp.render import _quad_row_spans
+
+    row_lo, _, col_lo, col_hi = _quad_row_spans(quad, frame.width_px, frame.height_px)
+    covered = np.flatnonzero(col_hi >= col_lo)
+    first, last = int(covered[0]), int(covered[-1]) + 1
+    col_lo, col_hi = col_lo[first:last], col_hi[first:last]
+    c0 = int(col_lo.min())
+    block = frame.pixels[row_lo + first : row_lo + last, c0 : int(col_hi.max()) + 1]
+    cols = np.arange(c0, c0 + block.shape[1])
+    inside = (cols >= col_lo[:, None]) & (cols <= col_hi[:, None])
+    sums = block.sum(axis=1, dtype=np.int64, where=inside)
+    counts = (col_hi - col_lo + 1).astype(np.float64)
+    return sums / counts / 255.0, row_lo + first
+
+
+def reference_fit_sides(pts: np.ndarray, hull: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """vlp.vision._fit_sides one side at a time: a (4, n, 2) offset of
+    every point from every quad corner gives each point's nearest side;
+    then each side takes its own trimmed points, their (points, hull
+    edges) distances, its seed edge and its line fit."""
+    from vlp.errors import TooFewCorners
+    from vlp.vision import EDGE_TRIM_PX, OUTLIER_PX, SEED_PX, _fit_line
+
+    ends = np.roll(quad, -1, axis=0) - quad
+    length = np.hypot(ends[:, 0], ends[:, 1])
+    if not (length > 2 * EDGE_TRIM_PX).all():
+        raise TooFewCorners(f"quad side of {length.min():.1f} px is too short to fit")
+    unit = ends / length[:, None]
+    rel = pts[None, :, :] - quad[:, None, :]
+    along = rel[..., 0] * unit[:, None, 0] + rel[..., 1] * unit[:, None, 1]
+    off = np.abs(rel[..., 1] * unit[:, None, 0] - rel[..., 0] * unit[:, None, 1])
+    off[(along < 0) | (along > length[:, None])] = np.inf
+    side = off.argmin(axis=0)
+    step = np.roll(hull, -1, axis=0) - hull
+    normal = np.column_stack([-step[:, 1], step[:, 0]])
+    normal /= np.hypot(step[:, 0], step[:, 1])[:, None]
+    offset = normal[:, 0] * hull[:, 0] + normal[:, 1] * hull[:, 1]
+    lines = []
+    for k in range(4):
+        mine = pts[(side == k) & (along[k] >= EDGE_TRIM_PX)
+                   & (along[k] <= length[k] - EDGE_TRIM_PX)]
+        dist = np.abs(mine[:, None, 0] * normal[:, 0] + mine[:, None, 1] * normal[:, 1]
+                      - offset)
+        seed = int((dist <= SEED_PX).sum(axis=0).argmax())
+        lines.append(_fit_line(mine[dist[:, seed] <= OUTLIER_PX]))
+    n, c = (np.array(x) for x in zip(*lines))
+    n0, c0 = np.roll(n, 1, axis=0), np.roll(c, 1)
+    det = n0[:, 0] * n[:, 1] - n0[:, 1] * n[:, 0]
+    if not (np.abs(det) >= 1e-9).all():
+        raise TooFewCorners("adjacent quad sides are parallel")
+    return np.column_stack([c0 * n[:, 1] - c * n0[:, 1],
+                            n0[:, 0] * c - n[:, 0] * c0]) / det[:, None]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import nadir_pose
+from conftest import nadir_pose, rng
+from helpers import reference_row_profile
 from vlp.codec import (
     LedDatabase,
     LedRecord,
@@ -25,9 +26,11 @@ from vlp.codec import (
 )
 from vlp.errors import (AmbiguousMatch, EmptyQuad, MalformedCsv, NoMatch, NoTransitions,
                         ProfileTooShort)
-from vlp.geometry import Vec3
-from vlp.render import (_quad_row_spans, apply_rolling_shutter, base_brightness,
-                        rasterize_panel, row_exposure_fractions)
+from vlp.geometry import CornerSet, Vec3
+from vlp.render import (Frame, FrameMeta, _quad_row_spans, add_capture_noise,
+                        apply_rolling_shutter, base_brightness, rasterize_panel,
+                        row_exposure_fractions)
+from vlp.vision import extract_corners
 
 
 def test_id_bits_round_trip():
@@ -124,6 +127,53 @@ def test_extract_row_profile_sums_each_rows_span(intr, panel):
     for i, value in enumerate(profile.values):
         span = px[row_lo + i, col_lo[i] : col_hi[i] + 1]
         assert value == int(span.sum(dtype=np.int64)) / float(span.size) / 255.0
+
+
+def _profile_cases(intr, panel):
+    """(name, frame, quad) cases for the row profile: noisy striped frames
+    at the four heights the codec gate decodes at, framed by their rendered
+    quad and by their stripe-merged corners; panels clipped at the left and
+    the right sensor edge; a frame of 255 under a quad past every edge, so
+    each row sums to the largest possible value; and quads whose rows all
+    span the crop's full width, where each span ends just where the next
+    row's begins and the last one at the crop's end."""
+    merge = stripe_merge_radius(intr)
+    g = rng(77)
+    poses = [(f"{h} m", nadir_pose(x, y, h, yaw=yaw)) for h, x, y, yaw in
+             ((1.23, 0.0, 0.0, 0.0), (1.3, 0.2, -0.4, 13.0),
+              (1.6, -0.4, 0.2, 0.0), (1.66, 0.4, 0.4, -31.0))]
+    poses += [("clipped left", nadir_pose(0.5, 0.0, 1.3)),
+              ("clipped right", nadir_pose(-0.5, 0.0, 1.3))]
+    for name, pose in poses:
+        base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+        striped = apply_rolling_shutter(base, base.quad, dm_encode(int(g.integers(256))),
+                                        phase_us=float(g.uniform(0.0, 800.0)))
+        noisy = add_capture_noise(striped, 1.0, 5.1, g)
+        yield name, noisy, striped.quad
+        if not name.startswith("clipped"):
+            yield f"{name} merged", noisy, extract_corners(noisy, merge_radius=merge)
+    h, w = intr.height_px, intr.width_px
+    full = Frame(np.full((h, w), 255, dtype=np.uint8), FrameMeta())
+    yield "255 everywhere", full, CornerSet([[-9.0, -3.0], [w + 4.0, -3.0],
+                                             [w + 4.0, h + 8.0], [-9.0, h + 8.0]])
+    speckle = Frame(g.integers(0, 256, size=(h, w), dtype=np.uint8), FrameMeta())
+    yield "rectangle", speckle, CornerSet([[100.2, 50.7], [900.4, 50.7],
+                                           [900.4, 700.1], [100.2, 700.1]])
+    yield "rectangle at the sensor's right and bottom edges", speckle, CornerSet(
+        [[w - 300.0, h - 200.0], [w + 1.0, h - 200.0], [w + 1.0, h + 1.0],
+         [w - 300.0, h + 1.0]])
+    yield "widest at the bottom", speckle, CornerSet([[500.0, 300.0], [520.0, 300.0],
+                                                      [800.0, 900.0], [200.0, 900.0]])
+
+
+def test_extract_row_profile_matches_masked_sum(intr, panel):
+    """extract_row_profile's values and row_start equal the masked int64
+    sum's, bit for bit, on every _profile_cases frame."""
+    for name, frame, quad in _profile_cases(intr, panel):
+        profile = extract_row_profile(frame, quad)
+        values, row_start = reference_row_profile(frame, quad)
+        assert profile.row_start == row_start, name
+        np.testing.assert_array_equal(profile.values, values, err_msg=name)
 
 
 def test_extract_row_profile_rejects_offscreen_quad(intr, panel):

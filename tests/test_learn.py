@@ -13,6 +13,7 @@ from helpers import (
     finite_difference_worst_rel,
     gbt_leaf_identity_errors,
     reference_grow_tree,
+    reference_predict,
     tree_sse,
 )
 from vlp.learn import (
@@ -30,6 +31,7 @@ from vlp.learn import (
     save_model,
 )
 from vlp.errors import BadFeatures, MalformedModel
+from vlp.learn import tree as tree_mod
 from vlp.learn.tree import grow_tree
 
 
@@ -274,6 +276,60 @@ def test_gbt_validation():
     for rate in (0.0, -0.3):
         with pytest.raises(ValueError):
             fit_gbt(x, y, learning_rate=rate)
+
+
+# ----------------------------------------------------------- the walk
+
+
+def _walk_models(x, y):
+    """(name, model) cases for the lockstep walk: unlimited-depth trees and
+    forests, depth-0 single-leaf trees, gbts with and without a depth
+    limit, and a 0-round gbt, whose tree list is empty."""
+    yield "tree", fit_tree(x, y)
+    yield "tree depth 0", fit_tree(x, y, max_depth=0)
+    yield "forest", fit_forest(x, y, n_trees=12, seed=5)
+    yield "forest of one", fit_forest(x, y, n_trees=1, seed=6)
+    yield "forest of leaves", Forest([fit_tree(x, y, max_depth=0)] * 3)
+    yield "gbt", fit_gbt(x, y, rounds=9, max_depth=4)
+    yield "gbt unlimited", fit_gbt(x, y, rounds=3, max_depth=None)
+    yield "gbt depth 0", fit_gbt(x, y, rounds=4, max_depth=0)
+    yield "gbt 0 rounds", fit_gbt(x, y, rounds=0)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8 * 12 * 7, 1])
+def test_walk_matches_per_tree_walk(monkeypatch, block_bytes):
+    """Tree, Forest and GbtModel predictions equal the per-tree walk's,
+    summed tree by tree, bit for bit: on training rows, fresh rows, rows
+    that sit on split thresholds, one row and zero rows; at the default block and
+    at blocks of 7 rows (for 12 trees) and of one row, so a batch spans
+    many walk blocks."""
+    if block_bytes is not None:
+        monkeypatch.setattr(tree_mod, "WALK_BLOCK_BYTES", block_bytes)
+    g = rng(31)
+    x = np.round(g.normal(size=(90, 3)), 1)
+    y = np.sin(x[:, 0]) + x[:, 1] * x[:, 2] + g.normal(0.0, 0.1, size=90)
+    fresh = np.round(g.normal(size=(61, 3)), 1)
+    split = fit_tree(x, y)
+    cuts = split.threshold[split.feature >= 0]
+    on_cuts = np.column_stack([cuts, cuts[::-1], np.roll(cuts, 5)])
+    for name, model in _walk_models(x, y):
+        for rows in (x, fresh, on_cuts, fresh[:1], fresh[:0]):
+            got = model.predict(rows)
+            assert got.shape == (rows.shape[0],), name
+            np.testing.assert_array_equal(got, reference_predict(model, rows), err_msg=name)
+
+
+def test_walk_spans_blocks_of_a_large_forest():
+    """A 150-tree forest walks a batch in blocks of WALK_BLOCK_BYTES /
+    (8 * 150) rows; a batch of more rows than one block predicts as the
+    per-tree walk does."""
+    g = rng(32)
+    x = g.normal(size=(40, 8))
+    y = g.normal(size=40)
+    forest = fit_forest(x, y, n_trees=150, seed=2)
+    block = tree_mod.WALK_BLOCK_BYTES // (8 * 150)
+    rows = g.normal(size=(block + 37, 8))
+    np.testing.assert_array_equal(forest.predict(rows), reference_predict(forest, rows))
 
 
 # ------------------------------------------------------------------ mlp

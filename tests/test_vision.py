@@ -13,8 +13,10 @@ from scipy import ndimage, spatial
 
 from conftest import nadir_pose, rng
 from helpers import (
+    point_in_convex_quad,
     reference_boundary_points,
     reference_extract_corners,
+    reference_fit_sides,
     reference_largest_component,
     reference_widest_subset,
 )
@@ -42,6 +44,7 @@ from vlp.vision import (
     _bbox,
     _boundary_points,
     _fit_quad,
+    _fit_sides,
     _hull,
     _largest,
     _runs,
@@ -569,6 +572,75 @@ def test_extract_corners_matches_pixel_oracle_bit_for_bit(intr, panel):
                 assert got.tobytes() == want.tobytes(), (height, radius)
                 checked += 1
     assert checked == 16
+
+
+def _same_fit(pts: np.ndarray) -> bool:
+    """_fit_sides and reference_fit_sides on pts, its hull and the hull's
+    widest quad: the same corner bits, or the same TooFewCorners message.
+    False when the hull has under four vertices, so there is no quad."""
+    hull = pts[_hull(pts)]
+    if len(hull) < 4:
+        return False
+    quad = hull[_widest_subset(hull)]
+    try:
+        want = reference_fit_sides(pts, hull, quad)
+    except TooFewCorners as exc:
+        with pytest.raises(TooFewCorners) as got:
+            _fit_sides(pts, hull, quad)
+        assert str(got.value) == str(exc)
+        return True
+    assert _fit_sides(pts, hull, quad).tobytes() == want.tobytes()
+    return True
+
+
+def test_fit_sides_matches_per_side_oracle_on_frames(intr, panel):
+    """The one-pass side fit gives reference_fit_sides' corners bit for bit
+    on every _oracle_frames blob with a quad: clean, noisy and striped,
+    nadir, dithered and clipped."""
+    fitted = 0
+    for name, frame, merge_radius in _oracle_frames(intr, panel):
+        try:
+            box = _bbox(frame.pixels, THRESHOLD)
+        except EmptyMask:
+            continue
+        crop = frame.pixels[box] >= THRESHOLD
+        if merge_radius:
+            crop = close_mask(crop, merge_radius)
+        runs = _largest(*_runs(crop, (box[0].start, box[1].start)))[:3]
+        fitted += _same_fit(_boundary_points(*runs))
+    assert fitted == 30
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["cloud", "kite", "blob"]))
+def test_fit_sides_matches_per_side_oracle_on_point_sets(seed, kind):
+    """The same on random half-integer point sets: a cloud of lattice
+    points; every lattice point of a thin kite, shuffled, mirror-symmetric
+    about its long axis, so points on the axis lie exactly as near one
+    side as the other and the tie rule decides their side; or the
+    boundary of a notched quad's pixels. Small sets often leave a side too
+    short or with too few points, and must raise the oracle's
+    TooFewCorners message."""
+    g = np.random.default_rng(seed)
+    if kind == "cloud":
+        pts = g.integers(0, 121, size=(int(g.integers(4, 200)), 2)) / 2.0
+    elif kind == "kite":
+        a, half = float(g.integers(20, 100)), float(g.integers(3, 13)) / 2.0
+        b = a + float(g.integers(8, 31))
+        grid = np.indices((int(2 * b) + 1, int(4 * half) + 1)).reshape(2, -1).T / 2.0
+        grid[:, 1] -= half
+        kite = [[0.0, 0.0], [a, -half], [b, 0.0], [a, half]]
+        pts = g.permutation(grid[point_in_convex_quad(grid, kite)])
+    else:
+        quad = g.uniform(0.0, 60.0, size=(4, 2))
+        quad = quad[np.argsort(np.arctan2(*(quad - quad.mean(axis=0)).T))]
+        rows, cols = np.indices((60, 60)) + 0.5
+        centres = np.column_stack([cols.ravel(), rows.ravel()])
+        inside = point_in_convex_quad(centres, quad).reshape(60, 60)
+        inside ^= g.random(inside.shape) < 0.01
+        assume(inside.any())
+        pts = _boundary_points(*_largest(*_runs(inside))[:3])
+    _same_fit(pts)
 
 
 @pytest.mark.parametrize("band", ["all", "rows", "cols"])
