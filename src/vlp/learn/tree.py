@@ -118,6 +118,13 @@ def _check_depth(max_depth):
         raise ValueError("max_depth must be >= 0 or None")
 
 
+def _ranks(x) -> np.ndarray:
+    """(n_features, N) dense int ranks of an (N, n_features) matrix's
+    columns: equal values (-0.0 and 0.0 among them) share a rank, and a
+    larger value has a larger rank."""
+    return np.stack([np.unique(col, return_inverse=True)[1] for col in x.T])
+
+
 def grow_tree(x, g, *, max_depth: int | None, reg_lambda: float) -> Tree:
     """Grow one tree on per-row gradients g with unit hessians.
 
@@ -138,11 +145,39 @@ def grow_tree(x, g, *, max_depth: int | None, reg_lambda: float) -> Tree:
     With lambda = 0 and g = -y (the squared-loss gradient at prediction 0)
     the gain is half the SSE reduction and the node value is the mean
     target: this is CART.
+
+    The columns are ranked once (SLIQ's presort, Mehta et al., EDBT 1996),
+    and every node sorts its rows by integer keys made from those ranks
+    (see _grow); the tree is the one a stable float sort at every node
+    gives, bit for bit.
+    """
+    return _grow(_ranks(x), x, g, max_depth, reg_lambda)[0]
+
+
+def _grow(ranks, x, g, max_depth, reg_lambda):
+    """grow_tree on the columns' ranks; also returns, for each row of x,
+    the node index of the leaf it was partitioned into.
+
+    ranks is (n_features, N): ints that order each column as its values do
+    and tie exactly where they tie, such as _ranks gives or a gather of
+    its columns. A node of n rows sorts, per feature, the keys
+    rank * 2**b + position with 2**b > n, in one default (unstable) sort:
+    the keys are unique, so the order is the stable argsort of the node's
+    values, and splits, thresholds and the children's row order are the
+    float sort's bit for bit. Masks and shifts take the order and the
+    ranks back out of the sorted keys.
+
+    A row's leaf is the one Tree.predict walks it to, since a threshold
+    sends exactly the lower rows left.
     """
     nodes = []  # [feature, threshold, left, right, value] per node, preorder
+    leaf = np.empty(g.size, dtype=np.int64)
+    # den[k - 1] = k + lambda: per cut, den[: n - 1] is n_L + lambda and
+    # den[n - 2 :: -1] is n_R + lambda
+    den = np.arange(1, g.size) + reg_lambda
     # explicit stack, preorder: deep trees must not hit the recursion limit;
     # the left child is popped right after its parent, so it is node + 1
-    stack = [(np.arange(x.shape[0]), 0, None)]
+    stack = [(np.arange(g.size), 0, None)]
     while stack:
         idx, depth, right_of = stack.pop()
         node = len(nodes)
@@ -156,35 +191,37 @@ def grow_tree(x, g, *, max_depth: int | None, reg_lambda: float) -> Tree:
         # in the prefix sums must not split one
         if (n < 2 or (max_depth is not None and depth >= max_depth)
                 or gi.min() == gi.max()):
+            leaf[idx] = node
             continue
-        # column f of order/xs/cg is feature f sorted on its own; row k of
-        # the gain matrix puts the first k + 1 sorted rows left
-        xi = x[idx]
-        order = np.argsort(xi, axis=0, kind="stable")
-        xs = np.take_along_axis(xi, order, axis=0)
-        cg = np.cumsum(gi[order], axis=0)
-        sizes = np.arange(1, n)[:, None]
-        gl = cg[:-1]
-        gr = cg[-1] - gl
-        gain = 0.5 * (gl * gl / (sizes + reg_lambda)
-                      + gr * gr / ((n - sizes) + reg_lambda))
+        # row f of order/rank/cg is feature f sorted on its own; column k
+        # of the gain matrix puts the first k + 1 sorted rows left
+        bits = n.bit_length()
+        keys = ranks.take(idx, axis=1) << bits
+        keys |= np.arange(n)
+        keys.sort(axis=1)
+        order = keys & ((1 << bits) - 1)
+        rank = keys >> bits
+        cg = gi[order].cumsum(axis=1)
+        gl = cg[:, :-1]
+        gr = cg[:, -1:] - gl
+        gain = 0.5 * (gl * gl / den[: n - 1] + gr * gr / den[n - 2 :: -1])
         gain -= 0.5 * gsum * gsum / (n + reg_lambda)
         # no cut between equal values
-        gain[xs[:-1] == xs[1:]] = -np.inf
-        # features as the outer axis: the first maximum is the lowest
-        # feature, then the lowest threshold
-        f, k = divmod(int(np.argmax(gain.T)), gain.shape[0])
-        if not gain[k, f] > 0.0:
+        gain[rank[:, :-1] == rank[:, 1:]] = -np.inf
+        # the first maximum is the lowest feature, then the lowest threshold
+        f, k = divmod(int(gain.argmax()), n - 1)
+        if not gain[f, k] > 0.0:
+            leaf[idx] = node
             continue
         i = k + 1
-        lo, hi = xs[i - 1, f], xs[i, f]
+        lo, hi = x[idx[order[f, k]], f], x[idx[order[f, i]], f]
         # the midpoint of two values one ULP apart rounds onto hi, and
         # x <= hi would then send every row left
         t = (lo + hi) / 2.0
         nodes[node][:3] = f, (t if t < hi else lo), node + 1
-        stack.append((idx[order[i:, f]], depth + 1, node))
-        stack.append((idx[order[:i, f]], depth + 1, None))
-    return Tree(*zip(*nodes))
+        stack.append((idx[order[f, i:]], depth + 1, node))
+        stack.append((idx[order[f, :i]], depth + 1, None))
+    return Tree(*zip(*nodes)), leaf
 
 
 def fit_tree(features, targets, *, max_depth: int | None = None) -> Tree:
@@ -226,7 +263,9 @@ def fit_forest(features, targets, *, n_trees: int = 150, seed=None) -> Forest:
     Each tree gets its own child seed spawned from `seed`, so the model is
     reproducible for a fixed seed no matter how trees might be scheduled.
     Trees follow common regression practice: unlimited depth, leaves of
-    one, every feature considered at every split.
+    one, every feature considered at every split. Each tree is fit_tree on
+    its resample; the columns are ranked once per fit, and each resample
+    takes its rows' ranks from them.
     """
     x, y = _validate_xy(features, targets)
     if x.shape[0] < 2:
@@ -234,10 +273,11 @@ def fit_forest(features, targets, *, n_trees: int = 150, seed=None) -> Forest:
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     n = x.shape[0]
+    ranks = _ranks(x)
     trees: list[Tree] = []
     for child in np.random.SeedSequence(seed).spawn(n_trees):
         rows = np.random.default_rng(child).integers(0, n, size=n)
-        trees.append(fit_tree(x[rows], y[rows]))
+        trees.append(_grow(ranks.take(rows, axis=1), x[rows], -y[rows], None, 0.0)[0])
     return Forest(trees)
 
 
@@ -270,6 +310,11 @@ def fit_gbt(features, targets, *, rounds: int = 150, learning_rate: float = 0.3,
     prediction is base_score + learning_rate * sum of tree outputs; the
     base score is the target mean. Growth has no random choices, so the
     fit takes no seed.
+
+    The columns are ranked once per fit. After each round every training
+    row's prediction moves by the value of the leaf the grower partitioned
+    it into, which is the leaf tree.predict walks it to, so no round walks
+    its tree.
     """
     x, y = _validate_xy(features, targets)
     if rounds < 0:
@@ -281,9 +326,10 @@ def fit_gbt(features, targets, *, rounds: int = 150, learning_rate: float = 0.3,
         raise ValueError("reg_lambda must be >= 0")
     base = float(y.mean())
     pred = np.full(x.shape[0], base, dtype=np.float64)
+    ranks = _ranks(x)
     trees: list[Tree] = []
     for _ in range(rounds):
-        tree = grow_tree(x, pred - y, max_depth=max_depth, reg_lambda=reg_lambda)
-        pred += learning_rate * tree.predict(x)
+        tree, leaf = _grow(ranks, x, pred - y, max_depth, reg_lambda)
+        pred += learning_rate * tree.value[leaf]
         trees.append(tree)
     return GbtModel(base, learning_rate, trees)

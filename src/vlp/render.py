@@ -240,18 +240,27 @@ def _quad_row_spans(quad: CornerSet, width: int, height: int):
 
 
 def _render_quad(shape: tuple[int, int], quad: CornerSet, fill: int,
-                 row_factors: np.ndarray | None = None) -> np.ndarray:
+                 row_factors: np.ndarray | None = None,
+                 window: tuple[slice, slice] | None = None) -> np.ndarray:
     """A zero uint8 raster of shape (height, width) with the quad's covered
     pixel centers on row r set to fill, or to rint(fill * row_factors[r])
-    when per-row factors are given."""
-    px = np.zeros(shape, dtype=np.uint8)
+    when per-row factors are given.
+
+    With a window (rows, cols) of that frame, only the window is rendered:
+    the spans are taken in frame coordinates, as without one, and cut to
+    the window, so every window pixel is the full render's bit for bit."""
+    rows, cols = window or (slice(0, shape[0]), slice(0, shape[1]))
+    px = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=np.uint8)
     row_lo, row_hi, col_lo, col_hi = _quad_row_spans(quad, shape[1], shape[0])
     levels = np.full(row_hi - row_lo, fill, dtype=np.float64)
     if row_factors is not None:
         levels = np.rint(levels * row_factors[row_lo:row_hi])
-    for idx, r in enumerate(range(row_lo, row_hi)):
+    col_lo = np.maximum(col_lo, cols.start) - cols.start
+    col_hi = np.minimum(col_hi, cols.stop - 1) - cols.start
+    for r in range(max(row_lo, rows.start), min(row_hi, rows.stop)):
+        idx = r - row_lo
         if col_hi[idx] >= col_lo[idx]:
-            px[r, col_lo[idx] : col_hi[idx] + 1] = levels[idx]
+            px[r - rows.start, col_lo[idx] : col_hi[idx] + 1] = levels[idx]
     return px
 
 
@@ -337,7 +346,8 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     matches pixel_sigma instead of the half-clipped value. Pixel noise is
     drawn only inside the window around the (jittered) quad that
     _noise_window gives; every pixel outside it, black in a rendered frame,
-    gets the bare pedestal round(3 * pixel_sigma). The window is drawn and
+    gets the bare pedestal round(3 * pixel_sigma), so the jittered quad is
+    rendered into that window alone. The window is drawn and
     applied NOISE_BLOCK_ROWS rows at a time, so no float temporary is
     frame-sized; the generator draws in sequence, so the blocks' draws are
     one window-sized draw bit for bit. At the default 0.02 of
@@ -363,21 +373,24 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     quad = frame.quad
     if corner_jitter_px > 0:
         quad = CornerSet(quad.points + rng.normal(0.0, corner_jitter_px, size=(4, 2)))
-        px = _render_quad(frame.pixels.shape, quad, frame.fill, frame.row_factors)
+    shape = frame.pixels.shape
+    if pixel_sigma == 0:
+        px = _render_quad(shape, quad, frame.fill, frame.row_factors)
     else:
-        px = frame.pixels
-    if pixel_sigma > 0:
-        rows, cols = _noise_window(quad, px.shape)
+        rows, cols = _noise_window(quad, shape)
+        if corner_jitter_px > 0:
+            win = _render_quad(shape, quad, frame.fill, frame.row_factors, (rows, cols))
+        else:
+            win = frame.pixels[rows, cols]
         child = rng.spawn(1)[0]
-        out = np.full(px.shape, np.clip(np.rint(3.0 * pixel_sigma), 0.0, 255.0), np.uint8)
-        for r in range(rows.start, rows.stop, NOISE_BLOCK_ROWS):
-            block = slice(r, min(r + NOISE_BLOCK_ROWS, rows.stop))
-            buf = px[block, cols].astype(np.float64)
+        px = np.full(shape, np.clip(np.rint(3.0 * pixel_sigma), 0.0, 255.0), np.uint8)
+        out = px[rows, cols]  # a view of the window
+        for r in range(0, win.shape[0], NOISE_BLOCK_ROWS):
+            buf = win[r : r + NOISE_BLOCK_ROWS].astype(np.float64)
             buf += 3.0 * pixel_sigma
             buf += child.normal(0.0, pixel_sigma, size=buf.shape)
             np.rint(buf, out=buf)
-            out[block, cols] = np.clip(buf, 0.0, 255.0, out=buf)
-        px = out
+            out[r : r + NOISE_BLOCK_ROWS] = np.clip(buf, 0.0, 255.0, out=buf)
     px.flags.writeable = False
     return Frame(px, frame.meta, quad=quad, fill=frame.fill,
                  row_factors=frame.row_factors)

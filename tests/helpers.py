@@ -41,8 +41,10 @@ def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, reg_lambda: 
     documents it: per feature, sort the node's rows stably, take prefix
     sums of g, score every cut between distinct values by the
     second-order gain, and keep a candidate only on strict improvement, so
-    ties go to the lowest feature, then the lowest threshold. The arithmetic
-    matches grow_tree element by element, so the trees must be equal.
+    ties go to the lowest feature, then the lowest threshold. A split's
+    threshold is the midpoint of the values it cuts between, or the lower
+    value where the midpoint rounds onto the upper one. The arithmetic
+    matches grow_tree element by element, so the trees must be byte-equal.
     """
     from vlp.learn import Tree
 
@@ -77,7 +79,10 @@ def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, reg_lambda: 
             j = int(np.argmax(gain))
             if best is None or gain[j] > best[0]:
                 i = int(ok[j])
-                best = (float(gain[j]), f, (xs[i - 1] + xs[i]) / 2.0, order, i)
+                lo, hi = xs[i - 1], xs[i]
+                # a midpoint that rounds onto hi would send hi's rows left
+                t = (lo + hi) / 2.0
+                best = (float(gain[j]), f, t if t < hi else lo, order, i)
         if best is None or best[0] <= 0.0:
             continue
         _, f, thr, order, i = best
@@ -85,6 +90,12 @@ def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, reg_lambda: 
         stack.append((idx[order[i:]], depth + 1, node))
         stack.append((idx[order[:i]], depth + 1, None))
     return Tree(*zip(*nodes))
+
+
+def tree_bytes(tree) -> tuple:
+    """A tree's node arrays as bytes: equal only if every array is, down to
+    the sign of a zero, which np.array_equal and Tree.__eq__ do not see."""
+    return tuple(getattr(tree, name).tobytes() for name in tree.__slots__)
 
 
 def tree_sse(tree, x: np.ndarray, y: np.ndarray) -> float:

@@ -14,6 +14,7 @@ from helpers import (
     gbt_leaf_identity_errors,
     reference_grow_tree,
     reference_predict,
+    tree_bytes,
     tree_sse,
 )
 from vlp.learn import (
@@ -31,6 +32,8 @@ from vlp.learn import (
     save_model,
 )
 from vlp.errors import BadFeatures, MalformedModel
+from vlp.geometry import CameraIntrinsics, LedPanel
+from vlp.harness import GridSpec, SweepSpec, generate_sweep
 from vlp.learn import tree as tree_mod
 from vlp.learn.tree import grow_tree
 
@@ -115,10 +118,27 @@ def test_tree_validation():
         Tree([], [], [], [], [])
 
 
-def test_grow_tree_matches_reference_grower():
-    # the all-features-at-once grower against the per-feature loop, on
-    # continuous and rounded (tie-heavy) data, gbt and CART settings
-    g = rng(102)
+def _ulp_steps(g, n: int, d: int) -> np.ndarray:
+    """An (n, d) matrix whose columns each take a few values one ULP
+    apart, where a split's midpoint rounds onto the upper value."""
+    base = np.repeat(g.normal(size=(1, d)), n, axis=0)
+    steps = g.integers(0, 4, size=(n, d))
+    for s in range(1, 4):
+        base = np.where(steps >= s, np.nextafter(base, np.inf), base)
+    return base
+
+
+def _train_sweep():
+    """The 1168-row lattice sweep the `train` benchmark fits: Euler-aliased
+    poses give rows that differ by a few ULP."""
+    ds = generate_sweep(SweepSpec((1.3, 1.66), grid=GridSpec(1.2, 0.2)),
+                        CameraIntrinsics(), LedPanel())
+    return ds.features, ds.targets
+
+
+def _grower_cases(g):
+    """(x, g) cases for the grower: continuous, rounded (tie-heavy),
+    signed zeros, values one ULP apart, and duplicated rows."""
     for k in range(300):
         n = int(g.integers(1, 50))
         d = int(g.integers(1, 9))
@@ -127,23 +147,52 @@ def test_grow_tree_matches_reference_grower():
         if k % 2:
             x = np.round(x, 1)
             grad = np.round(grad, 1)
-        params = {"max_depth": (None, 1, 3, 8)[k % 4],
-                  "reg_lambda": (0.0, 0.3, 1.0)[k % 3]}
+        yield x, grad
+    for k in range(240):
+        n = int(g.integers(2, 40))
+        d = int(g.integers(1, 5))
+        grad = np.round(g.normal(size=n), int(g.integers(0, 3)))
+        if k % 3 == 0:
+            x = g.choice([0.0, -0.0, 1.0, -1.0], size=(n, d))
+        elif k % 3 == 1:
+            x = _ulp_steps(g, n, d)
+        else:
+            x = g.normal(size=(int(g.integers(1, n)), d))
+            x = x[g.integers(0, x.shape[0], size=n)]
+        yield x, grad
+
+
+def test_grow_tree_matches_reference_grower():
+    # the all-features-at-once grower against the per-feature loop, on
+    # continuous, rounded (tie-heavy), signed-zero, one-ULP and
+    # duplicated-row data, gbt and CART settings, and on the 1168-row
+    # `train` sweep, byte for byte
+    g = rng(102)
+    cases = [(x, grad, {"max_depth": (None, 1, 3, 8)[k % 4],
+                        "reg_lambda": (0.0, 0.3, 1.0)[k % 3]})
+             for k, (x, grad) in enumerate(_grower_cases(g))]
+    x, y = _train_sweep()
+    cases.append((x, -y[:, 0], {"max_depth": None, "reg_lambda": 0.0}))
+    cases.append((x, y[:, 2] - y[:, 2].mean(), {"max_depth": 8, "reg_lambda": 1.0}))
+    for k, (x, grad, params) in enumerate(cases):
         want = reference_grow_tree(x, grad, **params)
-        assert grow_tree(x, grad, **params) == want, (k, params)
+        assert tree_bytes(grow_tree(x, grad, **params)) == tree_bytes(want), (k, params)
 
 
 # --------------------------------------------------------------- forest
 
 
 def test_forest_trees_are_trees_on_seeded_resamples():
+    # each tree takes its resample's ranks from the full matrix's: on
+    # continuous and on tied (rounded, signed-zero) columns alike
     g = rng(7)
     x = g.normal(size=(30, 2))
     y = g.normal(size=30)
-    forest = fit_forest(x, y, n_trees=3, seed=1)
-    for tree, child in zip(forest.trees, np.random.SeedSequence(1).spawn(3)):
-        rows = np.random.default_rng(child).integers(0, 30, size=30)
-        assert tree == fit_tree(x[rows], y[rows])
+    for xs in (x, np.round(x, 0)):
+        forest = fit_forest(xs, y, n_trees=3, seed=1)
+        for tree, child in zip(forest.trees, np.random.SeedSequence(1).spawn(3)):
+            rows = np.random.default_rng(child).integers(0, 30, size=30)
+            assert tree_bytes(tree) == tree_bytes(fit_tree(xs[rows], y[rows]))
 
 
 def test_forest_predict_is_member_mean():
@@ -239,7 +288,38 @@ def test_gbt_unregularized_round_is_the_cart_tree():
     y = g.normal(size=200)
     model = fit_gbt(x, y, rounds=1, learning_rate=1.0, reg_lambda=0.0,
                     max_depth=None)
-    assert model.trees[0] == fit_tree(x, y - model.base_score)
+    assert tree_bytes(model.trees[0]) == tree_bytes(fit_tree(x, y - model.base_score))
+
+
+def test_gbt_leaf_residuals_equal_the_walk():
+    """fit_gbt moves each training row's prediction by the leaf the grower
+    partitioned it into; that leaf is the one Tree.predict walks it to, so
+    the model equals the one whose residuals come from walking every tree,
+    byte for byte, also where thresholds sit one ULP below a value."""
+    g = rng(27)
+    x_sweep, y_sweep = _train_sweep()
+    cases = [(x_sweep, y_sweep[:, 0], 8), (x_sweep[::3], y_sweep[::3, 2], None)]
+    for _ in range(12):
+        x = _ulp_steps(g, 40, 3)
+        cases.append((x, g.normal(size=40), (None, 2, 5)[len(cases) % 3]))
+    ulp_rule = 0  # splits whose midpoint rounded onto the upper value
+    for x, y, depth in cases:
+        model = fit_gbt(x, y, rounds=6, max_depth=depth)
+        pred = np.full(y.size, model.base_score)
+        for tree in model.trees:
+            want = grow_tree(x, pred - y, max_depth=depth, reg_lambda=1.0)
+            assert tree_bytes(tree) == tree_bytes(want)
+            pred += model.learning_rate * tree.predict(x)
+            split = tree.feature >= 0
+            for f, t in zip(tree.feature[split], tree.threshold[split]):
+                up = np.nextafter(t, np.inf)
+                ulp_rule += bool((t + up) / 2.0 == up and (x[:, f] == t).any()
+                                 and (x[:, f] == up).any())
+        np.testing.assert_array_equal(model.predict(x), pred)
+        # the grower's own leaf assignment against the walk
+        tree, leaf = tree_mod._grow(tree_mod._ranks(x), x, y - y.mean(), depth, 1.0)
+        assert tree.value[leaf].tobytes() == tree.predict(x).tobytes()
+    assert ulp_rule > 0
 
 
 def test_gbt_training_error_is_monotone():
