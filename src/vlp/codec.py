@@ -31,7 +31,7 @@ from .errors import (
     ProfileTooShort,
 )
 from .geometry import CameraIntrinsics, CornerSet, Vec3
-from .render import Frame, Waveform, _quad_row_spans
+from .render import Frame, Waveform, _quad_runs
 
 DEFAULT_BIT_RATE_HZ = 10_000.0
 
@@ -105,33 +105,30 @@ class RowProfile:
 
 def extract_row_profile(frame: Frame, quad: CornerSet) -> RowProfile:
     """Mean in-quad pixel value for every image row the quad interior
-    touches, scaled to [0, 1]. Each row's sum is an exact integer, taken
-    by one reduceat over the quad's bounding crop laid end to end."""
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(quad, frame.width_px, frame.height_px)
-    covered = col_hi >= col_lo
-    if row_hi <= row_lo or not covered.any():
+    touches, scaled to [0, 1], from the quad's runs. Each row's sum is an
+    exact integer, taken by one reduceat over the runs' bounding crop laid
+    end to end. Raises EmptyQuad when the quad covers no pixel center on
+    the sensor or its covered rows are not contiguous."""
+    row, start, end = _quad_runs(quad, frame.pixels.shape)
+    if row.size == 0:
         raise EmptyQuad("quad covers no pixel centers inside the frame")
-    first = int(np.argmax(covered))
-    last = len(covered) - int(np.argmax(covered[::-1]))
-    col_lo, col_hi = col_lo[first:last], col_hi[first:last]
-    if not (col_hi >= col_lo).all():
+    if row[-1] - row[0] + 1 != row.size:
         raise EmptyQuad("quad rows are not contiguous inside the frame")
-    c0 = int(col_lo.min())
-    block = frame.pixels[row_lo + first : row_lo + last, c0 : int(col_hi.max()) + 1]
+    c0 = int(start.min())
+    block = frame.pixels[row[0] : row[-1] + 1, c0 : int(end.max())]
     # a row sums to at most 255 * width, far inside int32: exact
     flat = block.astype(np.int32).ravel()
-    # sum 2i is row i's span, flat[cuts[2i] : cuts[2i + 1]]; the sums
-    # between spans are dropped, so it does not matter that reduceat reads
-    # one element where a span ends just where the next row's begins
-    base = np.arange(block.shape[0]) * block.shape[1] - c0
-    cuts = np.column_stack([base + col_lo, base + col_hi + 1]).ravel()
+    # sum 2i is row i's run, flat[cuts[2i] : cuts[2i + 1]]; the sums
+    # between runs are dropped, so it does not matter that reduceat reads
+    # one element where a run ends just where the next row's begins
+    base = np.arange(row.size) * block.shape[1] - c0
+    cuts = np.column_stack([base + start, base + end]).ravel()
     # reduceat takes no cut at the array's end, and its last sum runs there
     if cuts[-1] == flat.size:
         cuts = cuts[:-1]
     sums = np.add.reduceat(flat, cuts, dtype=np.int32)[0::2]
-    counts = (col_hi - col_lo + 1).astype(np.float64)
-    means = sums / counts / 255.0
-    return RowProfile(values=means, row_start=row_lo + first)
+    means = sums / (end - start) / 255.0
+    return RowProfile(values=means, row_start=int(row[0]))
 
 
 def _rle(binary: np.ndarray):

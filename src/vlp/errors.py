@@ -36,7 +36,8 @@ class BadFeatures(VlpError, ValueError):
 
 
 class EmptyQuad(VlpError):
-    """Projected quad covers no pixel on the sensor."""
+    """Projected quad covers no pixel center on the sensor, or the rows it
+    covers there are not contiguous."""
 
 
 class ProfileTooShort(VlpError):
@@ -65,7 +66,9 @@ class EmptyMask(VisionFailure):
 
 
 class TooFewCorners(VisionFailure):
-    """Corner detector found fewer candidates than requested."""
+    """The blob's outline does not give four corners: its hull has fewer
+    than four vertices, a quad side is too short to fit or holds fewer than
+    two points, or two adjacent sides are parallel."""
 
 
 class SaturatedFrame(VisionFailure):

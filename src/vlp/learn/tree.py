@@ -42,17 +42,6 @@ class Tree:
         """Predicted value for each row of an (N, n_features) matrix."""
         return _walk([self], features)[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return (np.array_equal(self.feature, other.feature)
-                and np.array_equal(self.threshold, other.threshold)
-                and np.array_equal(self.left, other.left)
-                and np.array_equal(self.right, other.right)
-                and np.array_equal(self.value, other.value))
-
-    __hash__ = None
-
 
 # A walk's (trees x rows) temporaries stay within about this many bytes.
 WALK_BLOCK_BYTES = 1 << 20

@@ -43,6 +43,11 @@ NOISE_MARGIN_PX = 16
 # a few hundred KB (under 0.5 MB at full sensor width), not frame-sized.
 NOISE_BLOCK_ROWS = 32
 
+# Runs of pixels, a quad's or a blob's: (row, start, end) int arrays, one
+# entry per maximal span of pixels along a row, in row-major order, with
+# end one past the span's last column; all in frame coordinates.
+Runs = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class FrameMeta:
@@ -86,11 +91,13 @@ class Frame:
     Frames synthesized in-process also carry their generation provenance:
     the projected quad, the fill value and the per-row shutter factors.
     Every synthesis step renders from it through one quad renderer: the
-    shutter renders a quad at the fill with its row factors, corner jitter
-    renders the jittered quad with the stored factors, and pixel noise is
-    drawn only in a window around the quad, since a rendered frame is black
-    outside it. Frames loaded from disk have none: they take neither the
-    shutter nor capture noise.
+    shutter renders a quad at the fill with its row factors, and capture
+    noise renders the (jittered) quad with the stored factors and draws
+    pixel noise only in a window around it, since a rendered frame is black
+    outside it. Neither step reads the input's pixels, so noising a noisy
+    frame again replaces its noise rather than adding to it. Frames loaded
+    from disk have no provenance: they take neither the shutter nor capture
+    noise.
     """
 
     __slots__ = ("pixels", "meta", "quad", "fill", "row_factors")
@@ -202,22 +209,18 @@ def base_brightness(pose: Pose, panel: LedPanel, intr: CameraIntrinsics) -> floa
     return float(min(1.0, max(0.0, raw)))
 
 
-def _quad_row_spans(quad: CornerSet, width: int, height: int):
-    """Pixel-center column spans of a quad, per image row.
-
-    Returns (row_lo, row_hi, col_lo, col_hi) where rows row_lo..row_hi-1
-    intersect the quad and col_lo/col_hi give the inclusive column range of
-    pixels whose centers fall inside on each of those rows. Rows with no
-    covered pixel centers get col_lo > col_hi. Pixel (r, c) covers the unit
-    square with center (c + 0.5, r + 0.5).
+def _quad_runs(quad: CornerSet, shape: tuple[int, int]) -> Runs:
+    """The quad's runs on a (height, width) sensor: on each row with a
+    covered pixel center, the columns whose centers fall inside the quad,
+    clipped to the sensor. Rows with no covered center have no run. Pixel
+    (r, c) covers the unit square with center (c + 0.5, r + 0.5).
     """
     pts = quad.points
     vmin, vmax = pts[:, 1].min(), pts[:, 1].max()
     row_lo = max(0, int(math.ceil(vmin - 0.5)))
-    row_hi = min(height, int(math.floor(vmax - 0.5)) + 1)
-    if row_hi <= row_lo:
-        return row_lo, row_lo, np.zeros(0, np.int64), np.zeros(0, np.int64)
-    y = np.arange(row_lo, row_hi, dtype=np.float64) + 0.5
+    row_hi = min(shape[0], int(math.floor(vmax - 0.5)) + 1)
+    row = np.arange(row_lo, row_hi)  # empty when no row is in range
+    y = row + 0.5
     lo = np.full(y.shape, np.inf)
     hi = np.full(y.shape, -np.inf)
     for i in range(4):
@@ -232,35 +235,34 @@ def _quad_row_spans(quad: CornerSet, width: int, height: int):
         x = p[0] + (y[inside] - y0) * (q[0] - p[0]) / (y1 - y0)
         lo[inside] = np.minimum(lo[inside], x)
         hi[inside] = np.maximum(hi[inside], x)
-    col_lo = np.where(np.isfinite(lo), np.ceil(lo - 0.5), 1).astype(np.int64)
-    col_hi = np.where(np.isfinite(hi), np.floor(hi - 0.5), 0).astype(np.int64)
-    col_lo = np.clip(col_lo, 0, width)
-    col_hi = np.clip(col_hi, -1, width - 1)
-    return row_lo, row_hi, col_lo, col_hi
+    # a row no edge crosses keeps lo = inf and hi = -inf: an empty run
+    start = np.clip(np.ceil(lo - 0.5), 0, shape[1]).astype(np.int64)
+    end = np.clip(np.floor(hi - 0.5) + 1, 0, shape[1]).astype(np.int64)
+    keep = end > start
+    return row[keep], start[keep], end[keep]
 
 
 def _render_quad(shape: tuple[int, int], quad: CornerSet, fill: int,
                  row_factors: np.ndarray | None = None,
                  window: tuple[slice, slice] | None = None) -> np.ndarray:
-    """A zero uint8 raster of shape (height, width) with the quad's covered
-    pixel centers on row r set to fill, or to rint(fill * row_factors[r])
-    when per-row factors are given.
+    """A zero uint8 raster of shape (height, width) with the quad's runs on
+    row r set to fill, or to rint(fill * row_factors[r]) when per-row
+    factors are given.
 
     With a window (rows, cols) of that frame, only the window is rendered:
-    the spans are taken in frame coordinates, as without one, and cut to
+    the runs are taken in frame coordinates, as without one, and cut to
     the window, so every window pixel is the full render's bit for bit."""
     rows, cols = window or (slice(0, shape[0]), slice(0, shape[1]))
     px = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=np.uint8)
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(quad, shape[1], shape[0])
-    levels = np.full(row_hi - row_lo, fill, dtype=np.float64)
+    row, start, end = _quad_runs(quad, shape)
+    levels = np.full(row.size, fill, dtype=np.float64)
     if row_factors is not None:
-        levels = np.rint(levels * row_factors[row_lo:row_hi])
-    col_lo = np.maximum(col_lo, cols.start) - cols.start
-    col_hi = np.minimum(col_hi, cols.stop - 1) - cols.start
-    for r in range(max(row_lo, rows.start), min(row_hi, rows.stop)):
-        idx = r - row_lo
-        if col_hi[idx] >= col_lo[idx]:
-            px[r - rows.start, col_lo[idx] : col_hi[idx] + 1] = levels[idx]
+        levels = np.rint(levels * row_factors[row])
+    keep = (row >= rows.start) & (row < rows.stop)
+    start, end = (np.clip(a[keep], cols.start, cols.stop) - cols.start for a in (start, end))
+    for r, a, b, level in zip((row[keep] - rows.start).tolist(), start.tolist(),
+                              end.tolist(), levels[keep].tolist()):
+        px[r, a:b] = level
     return px
 
 
@@ -337,24 +339,27 @@ def _noise_window(quad: CornerSet, shape: tuple[int, int]) -> tuple[slice, slice
 def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
                       seed) -> Frame:
     """Capture imperfection model: quad corners jittered by an isotropic
-    Gaussian (the jittered quad rendered at the frame's fill and row
-    factors), then a black-level pedestal of 3 * pixel_sigma plus Gaussian
-    pixel noise, clipped to [0, 255]. Any non-zero noise on a frame
-    without generation provenance (read from disk) raises ValueError.
+    Gaussian, the (jittered) quad rendered at the frame's fill and row
+    factors, then a black-level pedestal of 3 * pixel_sigma plus Gaussian
+    pixel noise, clipped to [0, 255]. Any non-zero noise renders from the
+    frame's generation provenance and never reads its pixels, so noise
+    does not compound: a frame noised twice with zero jitter is the frame
+    the second call alone gives. Any non-zero noise on a frame without
+    generation provenance (read from disk) raises ValueError.
 
     The pedestal keeps the background noise two-sided, so its sample std
     matches pixel_sigma instead of the half-clipped value. Pixel noise is
     drawn only inside the window around the (jittered) quad that
     _noise_window gives; every pixel outside it, black in a rendered frame,
-    gets the bare pedestal round(3 * pixel_sigma), so the jittered quad is
-    rendered into that window alone. The window is drawn and
-    applied NOISE_BLOCK_ROWS rows at a time, so no float temporary is
-    frame-sized; the generator draws in sequence, so the blocks' draws are
-    one window-sized draw bit for bit. At the default 0.02 of
-    full scale that background sits about 22 sigma below the binarization
-    threshold, so no stage can tell it from a noisy one; a sigma large
-    enough to cross the threshold would show false blobs only inside the
-    window.
+    gets the bare pedestal round(3 * pixel_sigma), so the quad is rendered
+    into that window alone (into the whole frame when pixel_sigma is 0).
+    The window is drawn and applied NOISE_BLOCK_ROWS rows at a time, so no
+    float temporary is frame-sized; the generator draws in sequence, so the
+    blocks' draws are one window-sized draw bit for bit. At the default
+    0.02 of full scale that background sits about 22 sigma below the
+    binarization threshold, so no stage can tell it from a noisy one; a
+    sigma large enough to cross the threshold would show false blobs only
+    inside the window.
 
     Zero sigma and zero jitter return the input frame bit-identically.
     seed is anything np.random.default_rng takes; a Generator is used as
@@ -373,18 +378,15 @@ def add_capture_noise(frame: Frame, corner_jitter_px: float, pixel_sigma: float,
     quad = frame.quad
     if corner_jitter_px > 0:
         quad = CornerSet(quad.points + rng.normal(0.0, corner_jitter_px, size=(4, 2)))
-    shape = frame.pixels.shape
+    shape = (frame.height_px, frame.width_px)
+    window = _noise_window(quad, shape) if pixel_sigma > 0 else None
+    win = _render_quad(shape, quad, frame.fill, frame.row_factors, window)
     if pixel_sigma == 0:
-        px = _render_quad(shape, quad, frame.fill, frame.row_factors)
+        px = win
     else:
-        rows, cols = _noise_window(quad, shape)
-        if corner_jitter_px > 0:
-            win = _render_quad(shape, quad, frame.fill, frame.row_factors, (rows, cols))
-        else:
-            win = frame.pixels[rows, cols]
         child = rng.spawn(1)[0]
         px = np.full(shape, np.clip(np.rint(3.0 * pixel_sigma), 0.0, 255.0), np.uint8)
-        out = px[rows, cols]  # a view of the window
+        out = px[window]  # a view of the window
         for r in range(0, win.shape[0], NOISE_BLOCK_ROWS):
             buf = win[r : r + NOISE_BLOCK_ROWS].astype(np.float64)
             buf += 3.0 * pixel_sigma

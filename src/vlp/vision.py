@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyMask, SaturatedFrame, TooFewCorners, VisionFailure
 from .geometry import CornerSet, order_corners
-from .render import Frame
+from .render import Frame, Runs
 
 __all__ = ["close_mask", "extract_corners"]
 
@@ -29,11 +29,6 @@ THRESHOLD = 128          # binarization level, gray
 EDGE_TRIM_PX = 6.0       # side fits leave out boundary points this near a corner
 SEED_PX = 1.0            # a hull edge's support: side points this near it
 OUTLIER_PX = 2.0         # a side's fit keeps points this near its seed edge
-
-# A blob's runs: (row, start, end) int arrays, one entry per maximal span of
-# set pixels along a row, in row-major order, with end one past the span's
-# last column; all in frame coordinates.
-Runs = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def close_mask(mask: np.ndarray, radius_px: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 suite. Everything here is written the slow, obvious way on purpose: these
 functions must be trivially auditable, not fast."""
 
+import math
+
 import numpy as np
 
 
@@ -94,7 +96,7 @@ def reference_grow_tree(x: np.ndarray, g: np.ndarray, *, max_depth, reg_lambda: 
 
 def tree_bytes(tree) -> tuple:
     """A tree's node arrays as bytes: equal only if every array is, down to
-    the sign of a zero, which np.array_equal and Tree.__eq__ do not see."""
+    the sign of a zero, which np.array_equal does not see."""
     return tuple(getattr(tree, name).tobytes() for name in tree.__slots__)
 
 
@@ -251,16 +253,52 @@ def distance_to_quad_edges(pts: np.ndarray, quad: np.ndarray) -> np.ndarray:
     return d
 
 
+def reference_row_spans(quad, width: int, height: int):
+    """Pixel-center column spans of a quad, per image row, one row range
+    for all its edges: (row_lo, row_hi, col_lo, col_hi), where rows
+    row_lo..row_hi-1 meet the quad's vertical extent and col_lo/col_hi give
+    the inclusive column range, clipped to the sensor, of the pixels whose
+    centers fall inside on each of those rows. Rows with no covered pixel
+    center get col_lo > col_hi. Pixel (r, c) covers the unit square with
+    center (c + 0.5, r + 0.5). Each edge covers a half-open row interval,
+    so a shared vertex counts once. Independent of vlp.render._quad_runs,
+    which must give the covered rows of these spans."""
+    pts = quad.points
+    vmin, vmax = pts[:, 1].min(), pts[:, 1].max()
+    row_lo = max(0, int(math.ceil(vmin - 0.5)))
+    row_hi = min(height, int(math.floor(vmax - 0.5)) + 1)
+    if row_hi <= row_lo:
+        return row_lo, row_lo, np.zeros(0, np.int64), np.zeros(0, np.int64)
+    y = np.arange(row_lo, row_hi, dtype=np.float64) + 0.5
+    lo = np.full(y.shape, np.inf)
+    hi = np.full(y.shape, -np.inf)
+    for i in range(4):
+        p, q = pts[i], pts[(i + 1) % 4]
+        y0, y1 = p[1], q[1]
+        if y0 == y1:
+            continue
+        inside = (y >= min(y0, y1)) & (y < max(y0, y1))
+        if not inside.any():
+            continue
+        x = p[0] + (y[inside] - y0) * (q[0] - p[0]) / (y1 - y0)
+        lo[inside] = np.minimum(lo[inside], x)
+        hi[inside] = np.maximum(hi[inside], x)
+    col_lo = np.where(np.isfinite(lo), np.ceil(lo - 0.5), 1).astype(np.int64)
+    col_hi = np.where(np.isfinite(hi), np.floor(hi - 0.5), 0).astype(np.int64)
+    col_lo = np.clip(col_lo, 0, width)
+    col_hi = np.clip(col_hi, -1, width - 1)
+    return row_lo, row_hi, col_lo, col_hi
+
+
 def reference_refill(frame, quad) -> np.ndarray:
     """Re-rasterize a frame's quad at new corner positions, reapplying its
     stored shutter factors if any: one fill loop over the quad's row spans,
     then one full-height float scale of the covered rows. This is the
     jitter step of vlp.render.add_capture_noise written out in one piece,
     so the jittered frames must equal it pixel for pixel."""
-    from vlp.render import _quad_row_spans
-
     px = np.zeros_like(frame.pixels)
-    row_lo, row_hi, col_lo, col_hi = _quad_row_spans(quad, frame.width_px, frame.height_px)
+    row_lo, row_hi, col_lo, col_hi = reference_row_spans(quad, frame.width_px,
+                                                         frame.height_px)
     for idx, r in enumerate(range(row_lo, row_hi)):
         if col_hi[idx] >= col_lo[idx]:
             px[r, col_lo[idx] : col_hi[idx] + 1] = frame.fill
@@ -362,9 +400,7 @@ def reference_row_profile(frame, quad) -> tuple[np.ndarray, int]:
     sum: each covered row's in-span pixels of the quad's bounding crop,
     summed in int64 under a (rows, columns) mask, over the span's pixel
     count, over 255."""
-    from vlp.render import _quad_row_spans
-
-    row_lo, _, col_lo, col_hi = _quad_row_spans(quad, frame.width_px, frame.height_px)
+    row_lo, _, col_lo, col_hi = reference_row_spans(quad, frame.width_px, frame.height_px)
     covered = np.flatnonzero(col_hi >= col_lo)
     first, last = int(covered[0]), int(covered[-1]) + 1
     col_lo, col_hi = col_lo[first:last], col_hi[first:last]

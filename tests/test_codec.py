@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nadir_pose, rng
-from helpers import reference_row_profile
+from helpers import reference_row_profile, reference_row_spans
 from vlp.codec import (
     LedDatabase,
     LedRecord,
@@ -27,9 +27,8 @@ from vlp.codec import (
 from vlp.errors import (AmbiguousMatch, EmptyQuad, MalformedCsv, NoMatch, NoTransitions,
                         ProfileTooShort)
 from vlp.geometry import CornerSet, Vec3
-from vlp.render import (Frame, FrameMeta, _quad_row_spans, add_capture_noise,
-                        apply_rolling_shutter, base_brightness, rasterize_panel,
-                        row_exposure_fractions)
+from vlp.render import (Frame, FrameMeta, add_capture_noise, apply_rolling_shutter,
+                        base_brightness, rasterize_panel, row_exposure_fractions)
 from vlp.vision import extract_corners
 
 
@@ -122,7 +121,7 @@ def test_extract_row_profile_sums_each_rows_span(intr, panel):
     px[::3, ::7] = 200  # so every in-quad pixel counts, not just the fill
     noisy = type(striped)(px, striped.meta)
     profile = extract_row_profile(noisy, striped.quad)
-    row_lo, _, col_lo, col_hi = _quad_row_spans(striped.quad, 1728, 2304)
+    row_lo, _, col_lo, col_hi = reference_row_spans(striped.quad, 1728, 2304)
     assert profile.row_start == row_lo
     for i, value in enumerate(profile.values):
         span = px[row_lo + i, col_lo[i] : col_hi[i] + 1]
@@ -181,6 +180,18 @@ def test_extract_row_profile_rejects_offscreen_quad(intr, panel):
     offscreen = type(frame.quad)(frame.quad.points - 5000.0)
     with pytest.raises(EmptyQuad):
         extract_row_profile(frame, offscreen)
+
+
+def test_extract_row_profile_rejects_a_row_gap(intr, panel):
+    """A steep sub-pixel sliver covers pixel centers on some rows and
+    misses them on rows between: its covered rows are not contiguous."""
+    frame = rasterize_panel(intr, nadir_pose(0.0, 0.0, 1.3), panel, 1.0)
+    sliver = CornerSet([[10.2, 10.0], [14.7, 90.3], [14.9, 90.3], [10.4, 10.0]])
+    row_lo, _, col_lo, col_hi = reference_row_spans(sliver, 1728, 2304)
+    covered = np.flatnonzero(col_hi >= col_lo)
+    assert covered[-1] - covered[0] + 1 > covered.size  # a gap, not just thin
+    with pytest.raises(EmptyQuad, match="contiguous"):
+        extract_row_profile(frame, sliver)
 
 
 def _striped_profile(intr, panel, led_id, phase_us, height=1.3):

@@ -15,15 +15,18 @@ from helpers import (
     point_in_convex_quad,
     reference_pixel_noise,
     reference_refill,
+    reference_row_spans,
 )
 from vlp.codec import dm_encode
 from vlp.errors import MalformedFrame
-from vlp.geometry import Attitude, CameraIntrinsics, CornerSet, Pose, Vec3
+from vlp.geometry import (Attitude, CameraIntrinsics, CornerSet, Pose, Vec3,
+                          project_panel_corners)
 from vlp.render import (
     NOISE_BLOCK_ROWS,
     NOISE_MARGIN_PX,
     FrameMeta,
     Waveform,
+    _quad_runs,
     add_capture_noise,
     apply_rolling_shutter,
     base_brightness,
@@ -134,6 +137,63 @@ def test_rasterize_matches_point_in_quad_oracle(intr, panel):
     near_edge = distance_to_quad_edges(centers, quad) < 0.75
     disagree = (inside != lit) & ~near_edge
     assert not disagree.any()
+
+
+def _span_cases(intr, panel):
+    """(name, quad) cases for a quad's runs: seeded yawed and tilted
+    panels, panels cut by each sensor edge, panels wholly off the sensor,
+    and hand-made quads: sub-pixel slivers (some with rows that miss
+    every pixel center), horizontal edges, and vertices on pixel centers."""
+    g = rng(43)
+    for k in range(8):
+        pose = Pose(Vec3(*g.uniform(-0.6, 0.6, 2), float(g.uniform(1.2, 2.2))),
+                    Attitude(*g.normal(0.0, 8.0, 2), float(g.uniform(-180.0, 180.0))))
+        yield f"yawed and tilted {k}", project_panel_corners(intr, pose, panel)
+    for x, y in ((0.55, 0.0), (-0.55, 0.0), (0.0, 0.75), (0.0, -0.75)):
+        yield f"clipped at ({x}, {y})", project_panel_corners(
+            intr, nadir_pose(x, y, 1.2), panel)
+    nadir = project_panel_corners(intr, nadir_pose(0.0, 0.0, 1.3), panel)
+    yield "above and left of the sensor", CornerSet(nadir.points - 5000.0)
+    yield "below and right of the sensor", CornerSet(nadir.points + 5000.0)
+    yield "slanted sliver", CornerSet([[10.2, 10.0], [300.7, 90.3], [300.9, 90.3],
+                                       [10.4, 10.0]])
+    yield "steep sliver", CornerSet([[10.2, 10.0], [14.7, 90.3], [14.9, 90.3],
+                                     [10.4, 10.0]])
+    yield "flat sliver on a row of centers", CornerSet([[50.0, 20.3], [400.0, 20.3],
+                                                       [400.0, 20.6], [50.0, 20.6]])
+    yield "flat sliver between rows of centers", CornerSet(
+        [[50.0, 20.6], [400.0, 20.6], [400.0, 21.4], [50.0, 21.4]])
+    yield "rectangle on pixel centers", CornerSet([[100.5, 200.5], [300.5, 200.5],
+                                                  [300.5, 400.5], [100.5, 400.5]])
+    yield "trapezoid on pixel centers", CornerSet([[500.5, 300.5], [520.5, 300.5],
+                                                  [800.5, 900.5], [200.5, 900.5]])
+    for k in range(6):
+        yield f"random pixel centers {k}", CornerSet(g.integers(-20, 60, size=(4, 2)) + 0.5)
+
+
+def test_quad_runs_are_the_covered_row_spans(intr, panel):
+    """A quad's runs are the rows of the independent per-row spans that
+    cover a pixel center, each with end one past its last column, clipped
+    to the sensor, on every _span_cases quad; the cases hold empty quads,
+    quads cut by each sensor edge, and quads whose covered rows have gaps."""
+    shape = (intr.height_px, intr.width_px)
+    seen = set()
+    for name, quad in _span_cases(intr, panel):
+        row, start, end = _quad_runs(quad, shape)
+        row_lo, _, col_lo, col_hi = reference_row_spans(quad, shape[1], shape[0])
+        covered = np.flatnonzero(col_hi >= col_lo)
+        np.testing.assert_array_equal(row, row_lo + covered, err_msg=name)
+        np.testing.assert_array_equal(start, col_lo[covered], err_msg=name)
+        np.testing.assert_array_equal(end, col_hi[covered] + 1, err_msg=name)
+        if row.size == 0:
+            seen.add("empty")
+            continue
+        assert (start < end).all() and start.min() >= 0 and end.max() <= shape[1], name
+        seen.update(edge for edge, hit in (
+            ("left", start.min() == 0), ("right", end.max() == shape[1]),
+            ("top", row[0] == 0), ("bottom", row[-1] == shape[0] - 1),
+            ("gap", row[-1] - row[0] + 1 > row.size)) if hit)
+    assert seen == {"empty", "left", "right", "top", "bottom", "gap"}
 
 
 def test_row_exposure_fraction_constant_on():
@@ -375,6 +435,25 @@ def test_pixel_noise_never_moves_saturated_corners(intr, panel):
         np.testing.assert_array_equal(extract_corners(noisy).points,
                                       extract_corners(plain).points)
         assert g_noisy.normal() == g_plain.normal()
+
+
+def test_capture_noise_does_not_compound(intr, panel):
+    """Capture noise renders from the frame's provenance and never reads
+    its pixels: noising a noisy frame again with zero jitter gives what the
+    second call alone gives on the first call's quad, on plain and striped
+    frames, so the first call's pixel noise is gone."""
+    pose = nadir_pose(0.15, -0.1, 1.4, yaw=17.0)
+    base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+    striped = apply_rolling_shutter(base, base.quad, dm_encode(0x6C), phase_us=37.0)
+    for frame in (base, striped):
+        twice = add_capture_noise(add_capture_noise(frame, 0.0, 5.1, 4), 0.0, 5.1, 9)
+        np.testing.assert_array_equal(twice.pixels,
+                                      add_capture_noise(frame, 0.0, 5.1, 9).pixels)
+        assert twice.quad is frame.quad
+        jittered = add_capture_noise(frame, 1.0, 5.1, 4)
+        moved = add_capture_noise(frame, 1.0, 0.0, 4)
+        np.testing.assert_array_equal(add_capture_noise(jittered, 0.0, 5.1, 9).pixels,
+                                      add_capture_noise(moved, 0.0, 5.1, 9).pixels)
 
 
 def test_capture_noise_is_deterministic(intr, panel):
