@@ -8,7 +8,7 @@ import inspect
 import os
 import sys
 
-from .codec import (DEFAULT_BIT_RATE_HZ, LedDatabase, dm_decode, dm_encode,
+from .codec import (DEFAULT_BIT_RATE_HZ, LedDatabase, bits_value, dm_decode, dm_encode,
                     extract_row_profile, match_id, stripe_merge_radius)
 from .errors import VlpError
 from .geometry import Attitude, CameraIntrinsics, LedPanel, Pose, Vec3
@@ -121,8 +121,7 @@ def _cmd_codec_decode(args) -> int:
     candidates = dm_decode(profile, frame.meta.row_readout_us,
                            frame.meta.exposure_us, bit_rate_hz=args.bit_rate)
     for bits in candidates:
-        val = int("".join(str(b) for b in bits), 2)
-        print(f"candidate id=0x{val:02X} bits={''.join(str(b) for b in bits)}")
+        print(f"candidate id=0x{bits_value(bits):02X} bits={''.join(map(str, bits))}")
     if args.db:
         db = LedDatabase.from_csv(args.db)
         rec = match_id(candidates, db)

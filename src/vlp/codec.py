@@ -9,9 +9,8 @@ transition encodes 0 and its absence encodes 1, first level on.
 One consequence worth knowing: a plain 16-level repetition of the code obeys
 the boundary-transition rule at the seam only for ids with an even number of
 0-bits. Odd ones invert on every repetition (the true period is 32 levels),
-which shows up to the decoder as a single missing boundary transition and a
-3- or 4-unit level run per 16 half-bits. The decoder's run grammar accepts
-both forms.
+so at the seam the true alignment misses one bit-boundary transition per
+repetition.
 """
 
 from __future__ import annotations
@@ -131,50 +130,18 @@ def extract_row_profile(frame: Frame, quad: CornerSet) -> RowProfile:
     return RowProfile(values=means, row_start=int(row[0]))
 
 
-def _rle(binary: np.ndarray):
-    """Run-length encode a boolean sequence into (boundaries, levels):
-    run i is binary[boundaries[i] : boundaries[i+1]] with value levels[i]."""
-    change = np.nonzero(np.diff(binary.astype(np.int8)))[0] + 1
-    boundaries = [0, *change.tolist(), len(binary)]
-    levels = [bool(binary[b]) for b in boundaries[:-1]]
-    return boundaries, levels
-
-
-def _absorb_short_runs(boundaries, levels, floor_rows: float):
-    """Clean sub-floor runs (noise flecks near a stripe edge): interior ones
-    flip and merge into their neighbors; a too-short first or last run folds
-    into its neighbor so it cannot donate a bogus anchor boundary. Shortest
-    first, deterministic."""
-    while len(levels) > 2:
-        lengths = [boundaries[i + 1] - boundaries[i] for i in range(len(levels))]
-        pick, best = None, floor_rows
-        for i in range(len(levels)):
-            if lengths[i] < best:
-                pick, best = i, lengths[i]
-        if pick is None:
-            break
-        if pick == 0:
-            # extend the second run to the profile start
-            del boundaries[1]
-            del levels[0]
-        elif pick == len(levels) - 1:
-            del boundaries[-2]
-            del levels[-1]
-        else:
-            del boundaries[pick : pick + 2]
-            del levels[pick : pick + 2]
-    return boundaries, levels
-
-
 def dm_decode(profile: RowProfile, row_readout_us: float, exposure_us: float,
               bit_rate_hz: float = DEFAULT_BIT_RATE_HZ) -> tuple:
     """Recover the repeating 8-bit payload from a stripe profile.
 
-    Binarizes at (max+min)/2, run-length encodes, snaps run boundaries to the
-    half-bit grid, then reads bits for both half-bit alignments. Returns the
-    candidate 8-bit patterns ordered best-first (fewest boundary-rule
-    violations); cyclic rotation and candidate choice are resolved by
-    match_id against the deployed id set.
+    Binarizes at (max+min)/2 and lays a half-bit grid over the rows, phased
+    at the circular mean of the level changes. Each whole cell reads the
+    level most of its rows hold (a tie reads low); a flip is a level change
+    entering a cell. For both half-bit alignments, the middle 16 cells give
+    the bits (a mid-bit flip is a 0). Returns the candidate 8-bit patterns
+    ordered best-first (fewest missing bit-boundary flips over the whole
+    profile); cyclic rotation and candidate choice are resolved by match_id
+    against the deployed id set.
 
     Raises ValueError on non-positive timing, NoTransitions when the
     exposure covers a full bit period (the stripes wash out) or the profile
@@ -198,42 +165,40 @@ def dm_decode(profile: RowProfile, row_readout_us: float, exposure_us: float,
     if vmax - vmin < 1e-6:
         raise NoTransitions("constant profile; the LED is not modulated")
     binary = values >= (vmax + vmin) / 2.0
-    boundaries, levels = _rle(binary)
-    boundaries, levels = _absorb_short_runs(boundaries, levels, unit_rows / 4.0)
-    if len(levels) < 3:
+    edges = np.flatnonzero(binary[1:] != binary[:-1]) + 1
+    if edges.size < 2:
         raise NoTransitions("profile has no interior stripe transitions")
 
-    # drop the first and last runs (truncated by the quad edges); snap the
-    # remaining boundaries to the half-bit grid anchored at the first one
-    interior = boundaries[1:-1]
-    units = [round((b - interior[0]) / unit_rows) for b in interior]
-    total = units[-1]
-    if any(u1 <= u0 for u0, u1 in zip(units, units[1:])):
-        raise ProfileTooShort("stripe runs too garbled to place on the half-bit grid")
-    transition_at = set(units)
+    # cell j holds the rows whose centres lie in [start + j unit, start +
+    # (j + 1) unit); rows before cell 0 and past the last whole cell drop
+    turn = np.exp(2j * np.pi * edges / unit_rows).sum()
+    start = np.angle(turn) / (2.0 * np.pi) * unit_rows % unit_rows
+    n_cells = int((values.size - start) // unit_rows)
+    cell = np.floor((np.arange(values.size) + 0.5 - start) / unit_rows).astype(np.intp)
+    whole = (cell >= 0) & (cell < n_cells)
+    rows = np.bincount(cell[whole], minlength=n_cells)
+    high = np.bincount(cell[whole], weights=binary[whole], minlength=n_cells)
+    level = 2.0 * high > rows
+    flip = np.concatenate(([False], level[1:] != level[:-1]))
+    if not flip.any():
+        raise NoTransitions("no level change between half-bit cells")
 
     candidates = []
     for align in (0, 1):
-        n_units = total - align
-        if n_units < 16:
+        if n_cells < 16 + align:
             continue
-        bits = []
-        violations = 0 if align == 0 else (0 if align in transition_at else 1)
-        for k in range(8):
-            start = align + 2 * k
-            bits.append(0 if (start + 1) in transition_at else 1)
-            if k > 0 and start not in transition_at:
-                violations += 1
+        first = align + 2 * ((n_cells - align - 16) // 4)  # the middle 8 bits
+        bits = [0 if f else 1 for f in flip[first + 1 : first + 16 : 2]]
+        # bit boundaries are the cells j >= 1 with j = align (mod 2)
+        missing = int(np.count_nonzero(~flip[2 - align :: 2]))
         # rotation is unobservable without framing: report the class
-        canonical = rotation_class(bits)
-        if all(c[2] != canonical for c in candidates):
-            candidates.append((violations, align, canonical))
+        candidates.append((missing, align, rotation_class(bits)))
     if not candidates:
         raise ProfileTooShort(
-            f"only {total} clean half-bit units; need 16 to read 8 bits"
+            f"only {n_cells} whole half-bit cells; need 16 to read 8 bits"
         )
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    return tuple(c[2] for c in candidates)
+    # the alignments differ, so a full sort ranks by (missing, align)
+    return tuple(dict.fromkeys(c for _, _, c in sorted(candidates)))
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,13 @@ class EmptyQuad(VlpError):
 
 
 class ProfileTooShort(VlpError):
-    """Row profile does not cover one full repetition of the code."""
+    """Row profile does not cover one full repetition of the code, or
+    holds fewer than 16 whole half-bit cells."""
 
 
 class NoTransitions(VlpError):
-    """Row profile has no usable stripe structure."""
+    """Row profile has no usable stripe structure, or no level change
+    between its half-bit cells."""
 
 
 class NoMatch(VlpError):

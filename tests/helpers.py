@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 
+from vlp.codec import DEFAULT_BIT_RATE_HZ, rotation_class
+from vlp.errors import NoTransitions, ProfileTooShort
+
 
 def exhaustive_tree_sse(x: np.ndarray, y: np.ndarray, depth: int) -> float:
     """SSE of the greedy tree found by brute force: at every node, enumerate
@@ -411,6 +414,104 @@ def reference_row_profile(frame, quad) -> tuple[np.ndarray, int]:
     sums = block.sum(axis=1, dtype=np.int64, where=inside)
     counts = (col_hi - col_lo + 1).astype(np.float64)
     return sums / counts / 255.0, row_lo + first
+
+
+def _rle(binary: np.ndarray):
+    """Run-length encode a boolean sequence into (boundaries, levels):
+    run i is binary[boundaries[i] : boundaries[i+1]] with value levels[i]."""
+    change = np.nonzero(np.diff(binary.astype(np.int8)))[0] + 1
+    boundaries = [0, *change.tolist(), len(binary)]
+    levels = [bool(binary[b]) for b in boundaries[:-1]]
+    return boundaries, levels
+
+
+def _absorb_short_runs(boundaries, levels, floor_rows: float):
+    """Clean sub-floor runs (noise flecks near a stripe edge): interior ones
+    flip and merge into their neighbors; a too-short first or last run folds
+    into its neighbor so it cannot donate a bogus anchor boundary. Shortest
+    first, deterministic."""
+    while len(levels) > 2:
+        lengths = [boundaries[i + 1] - boundaries[i] for i in range(len(levels))]
+        pick, best = None, floor_rows
+        for i in range(len(levels)):
+            if lengths[i] < best:
+                pick, best = i, lengths[i]
+        if pick is None:
+            break
+        if pick == 0:
+            # extend the second run to the profile start
+            del boundaries[1]
+            del levels[0]
+        elif pick == len(levels) - 1:
+            del boundaries[-2]
+            del levels[-1]
+        else:
+            del boundaries[pick : pick + 2]
+            del levels[pick : pick + 2]
+    return boundaries, levels
+
+
+def reference_dm_decode(profile, row_readout_us: float, exposure_us: float,
+                        bit_rate_hz: float = DEFAULT_BIT_RATE_HZ) -> tuple:
+    """The run-grammar decoder vlp.codec.dm_decode replaced, as it was:
+    binarize at (max+min)/2, run-length encode, absorb sub-quarter-unit
+    runs, snap the interior run boundaries to the half-bit grid anchored at
+    the first one, and read bits for both half-bit alignments, ranked by
+    boundary-rule violations inside the 8-bit window."""
+    if not (row_readout_us > 0 and exposure_us > 0 and bit_rate_hz > 0):
+        raise ValueError("timing parameters must be positive")
+    level_duration_us = 1e6 / (2.0 * bit_rate_hz)
+    if exposure_us >= 2.0 * level_duration_us:
+        raise NoTransitions(
+            "exposure covers a full bit period; stripes wash out "
+            f"(exposure {exposure_us} us, bit {2 * level_duration_us} us)"
+        )
+    unit_rows = level_duration_us / row_readout_us
+    values = profile.values
+    if values.size < 16.0 * unit_rows:
+        raise ProfileTooShort(
+            f"{values.size} rows < one code repetition ({16 * unit_rows:.0f} rows)"
+        )
+    vmin, vmax = float(values.min()), float(values.max())
+    if vmax - vmin < 1e-6:
+        raise NoTransitions("constant profile; the LED is not modulated")
+    binary = values >= (vmax + vmin) / 2.0
+    boundaries, levels = _rle(binary)
+    boundaries, levels = _absorb_short_runs(boundaries, levels, unit_rows / 4.0)
+    if len(levels) < 3:
+        raise NoTransitions("profile has no interior stripe transitions")
+
+    # drop the first and last runs (truncated by the quad edges); snap the
+    # remaining boundaries to the half-bit grid anchored at the first one
+    interior = boundaries[1:-1]
+    units = [round((b - interior[0]) / unit_rows) for b in interior]
+    total = units[-1]
+    if any(u1 <= u0 for u0, u1 in zip(units, units[1:])):
+        raise ProfileTooShort("stripe runs too garbled to place on the half-bit grid")
+    transition_at = set(units)
+
+    candidates = []
+    for align in (0, 1):
+        n_units = total - align
+        if n_units < 16:
+            continue
+        bits = []
+        violations = 0 if align == 0 else (0 if align in transition_at else 1)
+        for k in range(8):
+            start = align + 2 * k
+            bits.append(0 if (start + 1) in transition_at else 1)
+            if k > 0 and start not in transition_at:
+                violations += 1
+        # rotation is unobservable without framing: report the class
+        canonical = rotation_class(bits)
+        if all(c[2] != canonical for c in candidates):
+            candidates.append((violations, align, canonical))
+    if not candidates:
+        raise ProfileTooShort(
+            f"only {total} clean half-bit units; need 16 to read 8 bits"
+        )
+    candidates.sort(key=lambda t: (t[0], t[1]))
+    return tuple(c[2] for c in candidates)
 
 
 def reference_fit_sides(pts: np.ndarray, hull: np.ndarray, quad: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nadir_pose, rng
-from helpers import reference_row_profile, reference_row_spans
+from helpers import reference_dm_decode, reference_row_profile, reference_row_spans
 from vlp.codec import (
     LedDatabase,
     LedRecord,
@@ -25,8 +25,9 @@ from vlp.codec import (
     stripe_merge_radius,
 )
 from vlp.errors import (AmbiguousMatch, EmptyQuad, MalformedCsv, NoMatch, NoTransitions,
-                        ProfileTooShort)
-from vlp.geometry import CornerSet, Vec3
+                        ProfileTooShort, VlpError)
+from vlp.geometry import CornerSet, Vec3, in_fov, project_panel_corners
+from vlp.harness import GridSpec
 from vlp.render import (Frame, FrameMeta, add_capture_noise, apply_rolling_shutter,
                         base_brightness, rasterize_panel, row_exposure_fractions)
 from vlp.vision import extract_corners
@@ -220,20 +221,92 @@ def test_decode_random_ids_and_phases(intr, panel):
         assert rec.id == int(led_id)
 
 
-@pytest.mark.parametrize("led_id", [0xB6, 0x5A, 0x0F])
-def test_decode_absorbs_a_one_row_fleck(led_id):
-    """A noise fleck that flips one row in the middle of a stripe run
-    merges back into the run, and the id's rotation class still ranks
-    first."""
+@pytest.mark.parametrize("led_id, rows", [
+    pytest.param(led_id, rows, id=str(led_id) if rows == 1 else f"{led_id}-{rows}rows")
+    for rows in (1, 8) for led_id in (0xB6, 0x5A, 0x0F)])
+def test_decode_absorbs_a_one_row_fleck(led_id, rows):
+    """A noise fleck that flips one row, or eight, in the middle of a stripe
+    run is outvoted in its half-bit cells, and the id's rotation class
+    still ranks first."""
     values = row_exposure_fractions(dm_encode(led_id), np.arange(480) * 2.5, 68.0)
     binary = values >= (values.max() + values.min()) / 2.0
     starts = np.flatnonzero(np.diff(binary)) + 1  # every run's start but the first
     k = int(np.searchsorted(starts, 240))
     mid = (starts[k - 1] + starts[k]) // 2  # the middle of the run holding row 240
     flecked = values.copy()
-    flecked[mid] = values.min() if binary[mid] else values.max()
+    lo = mid - rows // 2
+    flecked[lo : lo + rows] = values.min() if binary[mid] else values.max()
     cands = dm_decode(RowProfile(flecked, 0), 2.5, 68.0)
     assert cands[0] == rotation_class(id_bits(led_id))
+
+
+def _class_profiles(seed, rows, dark_rows=0):
+    """(id, values) for one id of each of the 36 rotation classes at 8
+    seeded phases: clean 68 us stripes at 2.5 us rows, under dark_rows
+    rows of 0, clipped to [0, 1] since the exposure integral can round
+    past 1."""
+    g = np.random.default_rng(seed)
+    ids = sorted({bits_value(rotation_class(id_bits(v))) for v in range(256)})
+    for led_id in ids:
+        for phase in g.uniform(0.0, 800.0, size=8):
+            stripes = row_exposure_fractions(dm_encode(led_id),
+                                             np.arange(rows) * 2.5 + phase, 68.0)
+            yield led_id, np.clip(np.concatenate([np.zeros(dark_rows), stripes]), 0.0, 1.0)
+
+
+def test_decode_reads_every_class_from_360_rows():
+    """360 rows is one repetition and one bit: the grid, which uses every
+    whole cell up to the profile's ends, reads every class first at
+    every phase."""
+    for led_id, values in _class_profiles(41, 360):
+        cands = dm_decode(RowProfile(values, 0), 2.5, 68.0)
+        assert cands[0] == rotation_class(id_bits(led_id)), (led_id, cands)
+
+
+def test_decode_reads_under_dark_rows():
+    """50 dark rows above the stripes, as when the top edge is framed too
+    high, add one long dark run; the id still matches."""
+    for led_id, values in _class_profiles(43, 480, dark_rows=50):
+        cands = dm_decode(RowProfile(values, 0), 2.5, 68.0)
+        db = LedDatabase([LedRecord(led_id, Vec3(0, 0, 2.56))])
+        assert match_id(cands, db).id == led_id, (led_id, cands)
+
+
+def test_decode_rejects_a_steady_profile_with_a_fleck():
+    """A steady LED with one dim row has two level changes but no change
+    between half-bit cells, so it cannot read as the all-ones id."""
+    values = np.ones(480)
+    values[240] = 0.5
+    with pytest.raises(NoTransitions):
+        dm_decode(RowProfile(values, 0), 2.5, 68.0)
+
+
+def test_decode_matches_run_grammar_where_it_reads(intr, panel):
+    """On noisy striped frames made as the on-device fix makes them, framed
+    by their stripe-merged corners, the first candidate is the run
+    grammar's wherever the run grammar reads the profile."""
+    g = rng(53)
+    merge = stripe_merge_radius(intr)
+    coords = GridSpec(1.2, 0.2).coordinates()
+    poses = [nadir_pose(float(x), float(y), h) for h in (1.23, 1.3, 1.6, 1.66)
+             for x in coords for y in coords]
+    poses = [p for p in poses if in_fov(project_panel_corners(intr, p, panel), intr)]
+    compared = 0
+    for k in range(24):
+        pose = poses[int(g.integers(len(poses)))]
+        base = rasterize_panel(intr, pose, panel, base_brightness(pose, panel, intr))
+        wave = dm_encode(int(g.integers(256)))
+        striped = apply_rolling_shutter(base, base.quad, wave,
+                                        phase_us=float(g.uniform(0.0, wave.period_us)))
+        noisy = add_capture_noise(striped, 1.0, 5.1, g)
+        profile = extract_row_profile(noisy, extract_corners(noisy, merge_radius=merge))
+        try:
+            want = reference_dm_decode(profile, 2.5, 68.0)
+        except VlpError:
+            continue
+        assert dm_decode(profile, 2.5, 68.0)[0] == want[0], (k, pose)
+        compared += 1
+    assert compared >= 16
 
 
 def test_decode_needs_enough_rows(intr, panel):
