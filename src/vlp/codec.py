@@ -139,9 +139,9 @@ def dm_decode(profile: RowProfile, row_readout_us: float, exposure_us: float,
     level most of its rows hold (a tie reads low); a flip is a level change
     entering a cell. For both half-bit alignments, the middle 16 cells give
     the bits (a mid-bit flip is a 0). Returns the candidate 8-bit patterns
-    ordered best-first (fewest missing bit-boundary flips over the whole
-    profile); cyclic rotation and candidate choice are resolved by match_id
-    against the deployed id set.
+    ordered best-first (fewest missing bit-boundary flips between the first
+    and the last flip); cyclic rotation and candidate choice are resolved
+    by match_id against the deployed id set.
 
     Raises ValueError on non-positive timing, NoTransitions when the
     exposure covers a full bit period (the stripes wash out) or the profile
@@ -183,14 +183,18 @@ def dm_decode(profile: RowProfile, row_readout_us: float, exposure_us: float,
     if not flip.any():
         raise NoTransitions("no level change between half-bit cells")
 
+    # bit boundaries are the cells j = align (mod 2); only those strictly
+    # between the first and the last flip count, so dark or washed-out
+    # rows at either end weigh on neither alignment
+    lo, hi = np.flatnonzero(flip)[[0, -1]]
     candidates = []
     for align in (0, 1):
         if n_cells < 16 + align:
             continue
         first = align + 2 * ((n_cells - align - 16) // 4)  # the middle 8 bits
         bits = [0 if f else 1 for f in flip[first + 1 : first + 16 : 2]]
-        # bit boundaries are the cells j >= 1 with j = align (mod 2)
-        missing = int(np.count_nonzero(~flip[2 - align :: 2]))
+        j = lo + 1 + (align - lo - 1) % 2
+        missing = int(np.count_nonzero(~flip[j:hi:2]))
         # rotation is unobservable without framing: report the class
         candidates.append((missing, align, rotation_class(bits)))
     if not candidates:

@@ -19,7 +19,8 @@ class BehindCamera(VlpError):
 
 class MalformedModel(VlpError, ValueError):
     """Model file is not valid JSON, carries another format tag, names an
-    unknown kind, lacks a field or holds a tree that predict cannot walk."""
+    unknown kind, lacks or mistypes a field, or holds a tree that predict
+    cannot walk."""
 
 
 class MalformedFrame(VlpError, ValueError):

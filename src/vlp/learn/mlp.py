@@ -38,7 +38,9 @@ class Mlp:
         x = np.asarray(features, dtype=np.float64)
         a = (x - self.x_mean) / self.x_std
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
+            a = a @ w  # one new (N, width) array per layer; the rest in place
+            a += b
+            np.maximum(a, 0.0, out=a)
         out = (a @ self.weights[-1] + self.biases[-1]).ravel()
         return self.y_mean + self.y_std * out
 

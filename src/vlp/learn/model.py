@@ -4,7 +4,10 @@ into a 3D position predictor, with versioned JSON persistence.
 In the JSON layout ("vlp-model/1") each submodel is its class's fields
 by __slots__ name: trees as flat node arrays, MLP layers as nested lists.
 Floats serialize through repr, so a save/load round trip reproduces
-predictions bit-exactly.
+predictions bit-exactly. No whole-document tree of Python floats is built:
+save_model encodes one axis at a time through json's C encoder, making an
+array's lists only while it writes them, and load_model builds each
+learner as the decoder closes its object.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ _KINDS = {
     "mlp": (Mlp, fit_mlp),
 }
 MODEL_KINDS = tuple(_KINDS)
+_LEARNERS = tuple(cls for cls, _ in _KINDS.values())
+# a JSON object with exactly these keys is this learner's document
+_BY_FIELDS = {frozenset(cls.__slots__): cls for cls in _LEARNERS}
 
 
 class PositionModel:
@@ -99,28 +105,66 @@ def fit_position_model(features, targets, kind: str = "gbt", *, seed=None,
     return PositionModel(kind, submodels, seed, params)
 
 
-def _doc(field):
-    """A submodel as its fields by __slots__ name: arrays become lists and
-    a list of trees a list of tree documents."""
-    if isinstance(field, np.ndarray):
-        return field.tolist()
-    if isinstance(field, list):
-        return [_doc(v) for v in field]
-    if hasattr(field, "__slots__"):
-        return {name: _doc(getattr(field, name)) for name in field.__slots__}
-    return field
+def _fields(obj):
+    """json.dumps default hook: a learner as its fields by __slots__ name,
+    an array as nested lists, built only while the encoder writes it."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, _LEARNERS):
+        return {name: getattr(obj, name) for name in obj.__slots__}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _from_doc(cls, doc: dict):
-    """cls called with its document's fields in __slots__ order; a trees
-    field holds tree documents. Raises ValueError on a malformed tree."""
-    fields = {name: doc[name] for name in cls.__slots__}
-    if "trees" in fields:
-        fields["trees"] = [_from_doc(Tree, t) for t in fields["trees"]]
-    sub = cls(*fields.values())
-    if cls is Tree:
-        _check_tree(sub)
+class _Unread:
+    """A learner-shaped JSON object its class refused, with the refusal."""
+
+    __slots__ = ("doc", "error")
+
+    def __init__(self, doc: dict, error: Exception):
+        self.doc = doc
+        self.error = error
+
+
+def _learner(doc: dict):
+    """json object_hook: an object whose keys are a learner class's
+    __slots__ becomes that learner as soon as the decoder closes it, so no
+    more than one learner's lists are alive at once. A trees field must
+    hold trees. A refused object becomes _Unread; any other stays a dict."""
+    cls = _BY_FIELDS.get(frozenset(doc))
+    if cls is None:
+        return doc
+    try:
+        fields = [doc[name] for name in cls.__slots__]
+        if "trees" in doc:
+            fields[cls.__slots__.index("trees")] = [_tree(t) for t in doc["trees"]]
+        sub = cls(*fields)
+        if cls is Tree:
+            _check_tree(sub)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return _Unread(doc, exc)
     return sub
+
+
+def _tree(t) -> Tree:
+    if isinstance(t, _Unread):
+        raise t.error
+    if not isinstance(t, Tree):
+        raise TypeError(f"a trees entry is {type(t).__name__}, not a tree document")
+    return t
+
+
+def _plain(value):
+    """A decoded value with every learner back as the fields save_model
+    writes for it and every _Unread back as its dict."""
+    if isinstance(value, _Unread):
+        value = value.doc
+    elif isinstance(value, (np.ndarray, *_LEARNERS)):
+        value = _fields(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _check_tree(tree: Tree) -> None:
@@ -143,25 +187,29 @@ def _check_tree(tree: Tree) -> None:
 
 
 def save_model(model: PositionModel, path) -> None:
-    doc = {
-        "format": FORMAT_TAG,
-        "kind": model.kind,
-        "seed": model.seed,
-        "hyperparameters": model.hyperparameters,
-        "axes": {axis: _doc(sub) for axis, sub in zip(AXES, model.submodels)},
-    }
+    """Write a vlp-model/1 document: sorted keys, compact separators, one
+    trailing newline. Each axis goes through the C encoder on its own, so
+    only one array's lists exist at a time."""
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    rest = json.dumps({"format": FORMAT_TAG, "kind": model.kind, "seed": model.seed,
+                       "hyperparameters": model.hyperparameters}, **compact)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write('{"axes":{')  # "axes" sorts before every key of rest
+        for k, (axis, sub) in enumerate(zip(AXES, model.submodels)):
+            fh.write(f'{"," if k else ""}"{axis}":')
+            fh.write(json.dumps(sub, default=_fields, **compact))
+        fh.write("}," + rest[1:] + "\n")
 
 
 def load_model(path) -> PositionModel:
     """Read a model written by save_model. Raises MalformedModel on invalid
-    JSON, a wrong format tag, an unknown kind, a missing field or a tree
-    whose nodes predict cannot walk (see _check_tree)."""
+    JSON, a wrong format tag, an unknown kind, a missing field, an axis that
+    is not the kind's learner, a tree whose nodes predict cannot walk (see
+    _check_tree) or hyperparameters that are not a mapping. Each learner is
+    built as the decoder closes it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=_learner)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise MalformedModel(f"{path}: not JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
@@ -169,8 +217,18 @@ def load_model(path) -> PositionModel:
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise MalformedModel(f"{path}: unknown model kind {kind!r}")
+    cls = _KINDS[kind][0]
     try:
-        subs = [_from_doc(_KINDS[kind][0], doc["axes"][a]) for a in AXES]
-    except (KeyError, TypeError, ValueError) as exc:
+        subs = [doc["axes"][a] for a in AXES]
+    except (KeyError, TypeError) as exc:
         raise MalformedModel(f"{path}: bad {kind} model: {exc!r}") from exc
-    return PositionModel(kind, subs, doc.get("seed"), doc.get("hyperparameters", {}))
+    for axis, sub in zip(AXES, subs):
+        if isinstance(sub, _Unread):
+            raise MalformedModel(f"{path}: bad {kind} model: {sub.error!r}") from sub.error
+        if not isinstance(sub, cls):
+            raise MalformedModel(f"{path}: bad {kind} model: axis {axis} is not a "
+                                 f"{cls.__name__} document")
+    hyperparameters = _plain(doc.get("hyperparameters", {}))
+    if not isinstance(hyperparameters, dict):
+        raise MalformedModel(f"{path}: hyperparameters is not a mapping")
+    return PositionModel(kind, subs, _plain(doc.get("seed")), hyperparameters)

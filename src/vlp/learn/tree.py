@@ -30,9 +30,10 @@ class Tree:
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.float64)
         n = self.feature.size
-        if not (self.threshold.size == self.left.size == self.right.size
-                == self.value.size == n) or n == 0:
-            raise ValueError("node arrays must be nonempty and equal length")
+        if n == 0 or any(a.shape != (n,) for a in (self.feature, self.threshold,
+                                                  self.left, self.right, self.value)):
+            raise ValueError("node arrays must be nonempty, one-dimensional "
+                             "and of equal length")
 
     @property
     def n_nodes(self) -> int:

@@ -272,6 +272,18 @@ def test_decode_reads_under_dark_rows():
         assert match_id(cands, db).id == led_id, (led_id, cands)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_decode_ranks_the_right_class_first_under_dark_rows(seed):
+    """The cells of 50 dark rows hold no flip, and one alignment can have
+    one more bit boundary among them than the other: counted, that can
+    outweigh the one flip an odd-zero id's true alignment misses at the
+    seam. Only boundaries between the first and the last flip count, so
+    the right class comes first at every phase."""
+    for led_id, values in _class_profiles(seed, 480, dark_rows=50):
+        cands = dm_decode(RowProfile(values, 0), 2.5, 68.0)
+        assert cands[0] == rotation_class(id_bits(led_id)), (led_id, cands)
+
+
 def test_decode_rejects_a_steady_profile_with_a_fleck():
     """A steady LED with one dim row has two level changes but no change
     between half-bit cells, so it cannot read as the all-ones id."""

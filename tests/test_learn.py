@@ -3,6 +3,7 @@ identity for boosting, finite-difference gradients for the MLP, and the
 serialization contract for all of them."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,6 +503,34 @@ def test_position_model_save_load_bit_exact(kind, tmp_path):
     back = load_model(path)
     assert back.kind == kind and back.seed == 3
     np.testing.assert_array_equal(back.predict(x), model.predict(x))
+    # the file is its own canonical encoding: sorted keys, compact, one newline
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_save_and_load_hold_about_one_document_at_a_time(tmp_path):
+    """A default-width mlp (a 10 MB document) is written one array's lists
+    at a time, and read one learner's lists at a time: the traced peak
+    stays under the file's size on save and 2.2 times it on load, where
+    the bytes read and the text decoded from them already take twice."""
+    x, y = _toy_xy(seed=55)
+    model = fit_position_model(x, y, "mlp", seed=5, epochs=0)
+    path = tmp_path / "mlp.json"
+    save_model(model, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        save_model(model, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_model(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == size > 5e6
+    assert save_peak <= 1.0 * size, save_peak / size
+    assert load_peak <= 2.2 * size, load_peak / size
+    np.testing.assert_array_equal(back.predict(x), model.predict(x))
 
 
 _TREE = Tree([0, -1, -1], [1.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.25, -1.0, 2.5])
@@ -586,7 +615,7 @@ def test_load_model_malformed(tmp_path, text, match):
         load_model(bad)
 
 
-@pytest.mark.parametrize("kind", ["tree", "gbt"])
+@pytest.mark.parametrize("kind", ["tree", "forest", "gbt"])
 @pytest.mark.parametrize("edit", [
     {"left": [0, -1, -1], "right": [0, -1, -1]},
     {"right": [3, -1, -1]},
@@ -605,3 +634,60 @@ def test_load_model_rejects_malformed_tree(tmp_path, kind, edit):
     path.write_text(json.dumps(doc))
     with pytest.raises(MalformedModel, match="tree node"):
         load_model(path)
+
+
+_MLP_AXIS = json.loads(_GOLDEN["mlp"][1])
+_TREE_AXIS = json.loads(_TREE_DOC)
+
+
+@pytest.mark.parametrize("kind, axis, match", [
+    ("gbt", _MLP_AXIS, "axis x is not a GbtModel"),
+    ("mlp", json.loads(_GOLDEN["tree"][1]), "axis x is not a Mlp"),
+    ("forest", {"trees": [dict(_TREE_AXIS, value={"v": 1})]}, "not 'dict'"),
+    ("gbt", {"base_score": 0.5, "learning_rate": 0.1,
+             "trees": [{k: v for k, v in _TREE_AXIS.items() if k != "value"}]},
+     "not a tree document"),
+    ("forest", {"trees": [_TREE_AXIS, 3]}, "not a tree document"),
+    ("forest", {"trees": 3}, "not iterable"),
+    ("forest", {"trees": []}, "at least one tree"),
+    ("mlp", dict(_MLP_AXIS, x_mean="abc"), "could not convert"),
+    ("forest", {"trees": [dict(_TREE_AXIS, threshold="abc")]}, "could not convert"),
+    ("tree", dict(_TREE_AXIS, left=[2**70, -1, -1]), "too large"),
+    ("tree", {"feature": [-1], "left": [-1], "right": [-1], "threshold": [0.0],
+              "value": "7"}, "one-dimensional"),
+], ids=["mlp-under-gbt", "tree-under-mlp", "forest-tree-object-value",
+        "gbt-tree-missing-field", "forest-tree-a-number", "forest-trees-a-number",
+        "forest-no-trees", "mlp-string-array", "forest-tree-string-array",
+        "tree-index-past-int64", "tree-scalar-value"])
+def test_load_model_keeps_typed_errors(tmp_path, kind, axis, match):
+    """Every learner is built as the decoder closes it; whatever its class
+    refuses, or an axis of another kind, is a MalformedModel naming the
+    kind, never a raw TypeError, AttributeError or OverflowError."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format": "vlp-model/1", "kind": kind,
+                                "axes": {a: axis for a in "xyz"}}))
+    with pytest.raises(MalformedModel, match=f"bad {kind} model.*{match}"):
+        load_model(path)
+
+
+def test_load_model_rejects_hyperparameters_that_are_no_mapping(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(PositionModel("tree", [_TREE] * 3, 7, {}), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, hyperparameters=3)))
+    with pytest.raises(MalformedModel, match="hyperparameters is not a mapping"):
+        load_model(path)
+
+
+def test_load_model_keeps_learner_shaped_hyperparameters_plain(tmp_path):
+    """A hyperparameters mapping keyed like a learner's fields is no learner:
+    it loads as the plain mapping it was, and saves back to the same bytes."""
+    hyper = {"trees": 3, "list": [{"trees": []}, {"trees": [_TREE_AXIS]}]}
+    path = tmp_path / "model.json"
+    save_model(PositionModel("tree", [_TREE] * 3, {"trees": [1]}, hyper), path)
+    text = path.read_text()
+    back = load_model(path)
+    assert back.hyperparameters == hyper and back.seed == {"trees": [1]}
+    assert json.loads(json.dumps(back.hyperparameters)) == hyper
+    save_model(back, path)
+    assert path.read_text() == text
