@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import _validate_xy
+from .tree import _numbers, _validate_xy
 
 __all__ = ["Mlp", "fit_mlp", "loss_and_grads"]
 
@@ -20,18 +20,35 @@ class Mlp:
     """Rectifier network with a linear scalar output head.
 
     Inputs and targets are standardized internally during fit; predict
-    undoes both, so the public interface speaks raw units.
+    undoes both, so the public interface speaks raw units. The layers
+    must chain, from the width of x_mean and x_std to one output, each
+    bias vector as wide as its layer; the constructor raises ValueError
+    otherwise.
     """
 
     __slots__ = ("weights", "biases", "x_mean", "x_std", "y_mean", "y_std")
 
     def __init__(self, weights, biases, x_mean, x_std, y_mean, y_std):
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.x_mean = np.asarray(x_mean, dtype=np.float64)
-        self.x_std = np.asarray(x_std, dtype=np.float64)
+        self.weights = [_numbers(w, np.float64) for w in weights]
+        self.biases = [_numbers(b, np.float64) for b in biases]
+        self.x_mean = _numbers(x_mean, np.float64)
+        self.x_std = _numbers(x_std, np.float64)
         self.y_mean = float(y_mean)
         self.y_std = float(y_std)
+        if self.x_mean.ndim != 1 or self.x_std.shape != self.x_mean.shape:
+            raise ValueError(f"x_mean {self.x_mean.shape} and x_std {self.x_std.shape} "
+                             "must be vectors of the input width")
+        if not self.weights or len(self.biases) != len(self.weights):
+            raise ValueError(f"{len(self.weights)} weight matrices and "
+                             f"{len(self.biases)} bias vectors: need one of each per layer")
+        width = self.x_mean.size
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+                raise ValueError(f"layer {k}: weights {w.shape} and biases {b.shape} "
+                                 f"do not take width {width}")
+            width = w.shape[1]
+        if width != 1:
+            raise ValueError(f"the output layer has width {width}, not 1")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted value for each row of an (N, n_features) matrix."""

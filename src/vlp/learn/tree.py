@@ -24,11 +24,11 @@ class Tree:
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.float64)
+        self.feature = _numbers(feature, np.int64)
+        self.threshold = _numbers(threshold, np.float64)
+        self.left = _numbers(left, np.int64)
+        self.right = _numbers(right, np.int64)
+        self.value = _numbers(value, np.float64)
         n = self.feature.size
         if n == 0 or any(a.shape != (n,) for a in (self.feature, self.threshold,
                                                   self.left, self.right, self.value)):
@@ -87,6 +87,18 @@ def _walk(trees, features) -> np.ndarray:
             node = children[2 * node + goes_left]
         out[:, lo : lo + block] = value[node]
     return out
+
+
+def _numbers(raw, dtype) -> np.ndarray:
+    """raw as a dtype array; ValueError unless numpy reads it as numbers
+    or booleans (which read as 0 and 1). np.asarray(raw, dtype) would parse
+    numeric strings and read null as NaN. raw is read once, and the array
+    is cast only if its dtype differs, so a dtype array comes back as is."""
+    a = np.asarray(raw)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"could not convert {a.dtype} values to {np.dtype(dtype)}: "
+                         "not all 64-bit numbers")
+    return a.astype(dtype, copy=False)
 
 
 def _validate_xy(features, targets):

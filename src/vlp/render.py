@@ -131,13 +131,9 @@ class Frame:
 def write_pgm(frame: Frame, path) -> None:
     """Binary PGM (P5), with capture meta on a comment line. Bit-exact
     round-trip with read_pgm."""
-    m = frame.meta
-    header = (
-        f"P5\n"
-        f"# exposure_us={m.exposure_us!r} row_readout_us={m.row_readout_us!r} "
-        f"iso_gain={m.iso_gain!r}\n"
-        f"{frame.width_px} {frame.height_px}\n255\n"
-    )
+    meta = " ".join(f"{f.name}={getattr(frame.meta, f.name)!r}"
+                    for f in fields(FrameMeta))
+    header = f"P5\n# {meta}\n{frame.width_px} {frame.height_px}\n255\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(frame.pixels.tobytes())

@@ -328,6 +328,15 @@ def test_decode_needs_enough_rows(intr, panel):
         dm_decode(profile, 2.5, 68.0)
 
 
+def test_decode_needs_sixteen_whole_cells():
+    """320 rows hold one code repetition, 16 half-bit cells of 20 rows,
+    only when the stripes phase the grid at row 0; off it, 15 cells are
+    whole, too few to read 8 bits from."""
+    values = row_exposure_fractions(dm_encode(0xB6), np.arange(320) * 2.5 + 25.0, 68.0)
+    with pytest.raises(ProfileTooShort, match="only 15 whole half-bit cells"):
+        dm_decode(RowProfile(values, 0), 2.5, 68.0)
+
+
 def test_decode_rejects_unmodulated_profile(intr, panel):
     pose = nadir_pose(0.0, 0.0, 1.3)
     frame = rasterize_panel(intr, pose, panel, 1.0)

@@ -643,7 +643,7 @@ _TREE_AXIS = json.loads(_TREE_DOC)
 @pytest.mark.parametrize("kind, axis, match", [
     ("gbt", _MLP_AXIS, "axis x is not a GbtModel"),
     ("mlp", json.loads(_GOLDEN["tree"][1]), "axis x is not a Mlp"),
-    ("forest", {"trees": [dict(_TREE_AXIS, value={"v": 1})]}, "not 'dict'"),
+    ("forest", {"trees": [dict(_TREE_AXIS, value={"v": 1})]}, "could not convert object"),
     ("gbt", {"base_score": 0.5, "learning_rate": 0.1,
              "trees": [{k: v for k, v in _TREE_AXIS.items() if k != "value"}]},
      "not a tree document"),
@@ -652,9 +652,9 @@ _TREE_AXIS = json.loads(_TREE_DOC)
     ("forest", {"trees": []}, "at least one tree"),
     ("mlp", dict(_MLP_AXIS, x_mean="abc"), "could not convert"),
     ("forest", {"trees": [dict(_TREE_AXIS, threshold="abc")]}, "could not convert"),
-    ("tree", dict(_TREE_AXIS, left=[2**70, -1, -1]), "too large"),
+    ("tree", dict(_TREE_AXIS, left=[2**70, -1, -1]), "could not convert object"),
     ("tree", {"feature": [-1], "left": [-1], "right": [-1], "threshold": [0.0],
-              "value": "7"}, "one-dimensional"),
+              "value": 7}, "one-dimensional"),
 ], ids=["mlp-under-gbt", "tree-under-mlp", "forest-tree-object-value",
         "gbt-tree-missing-field", "forest-tree-a-number", "forest-trees-a-number",
         "forest-no-trees", "mlp-string-array", "forest-tree-string-array",
@@ -668,6 +668,60 @@ def test_load_model_keeps_typed_errors(tmp_path, kind, axis, match):
                                 "axes": {a: axis for a in "xyz"}}))
     with pytest.raises(MalformedModel, match=f"bad {kind} model.*{match}"):
         load_model(path)
+
+
+def _mlp_edit(**fields):
+    return dict(_MLP_AXIS, **fields)
+
+
+@pytest.mark.parametrize("axis, match", [
+    (_mlp_edit(weights=[[[0.5]] * 7, [[2.0]]]), r"layer 0: weights \(7, 1\)"),
+    (_mlp_edit(weights=[[[0.5, 0.5]] * 8, [[2.0]]]), r"layer 0: weights \(8, 2\)"),
+    (_mlp_edit(weights=[[[0.5]] * 8, [[2.0], [2.0]]]), r"layer 1: weights \(2, 1\)"),
+    (_mlp_edit(biases=[[0.0], [-1.0, 1.0]]), r"layer 1: .* biases \(2,\)"),
+    (_mlp_edit(biases=[[0.0]]), "1 bias vectors"),
+    (_mlp_edit(weights=[[[0.5, 0.5]] * 8], biases=[[0.0, 0.0]]), "output layer has width 2"),
+    (_mlp_edit(x_std=[1.0] * 7), r"x_std \(7,\)"),
+    (_mlp_edit(x_mean=[[0.0] * 8]), r"x_mean \(1, 8\)"),
+], ids=["first-matrix-7-rows", "hidden-width-2-bias-1", "second-matrix-2-rows",
+        "bias-wider-than-layer", "bias-missing", "output-width-2", "x-std-7",
+        "x-mean-2d"])
+def test_load_model_refuses_mlp_layers_that_do_not_chain(tmp_path, axis, match):
+    """An mlp document whose layers do not chain from the input width to one
+    output is refused at load, not left for predict's raw matmul error."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format": "vlp-model/1", "kind": "mlp",
+                                "axes": {a: axis for a in "xyz"}}))
+    with pytest.raises(MalformedModel, match=f"bad mlp model.*{match}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind, axis", [
+    ("tree", dict(_TREE_AXIS, threshold=["1.5", "0", "0"])),
+    ("tree", dict(_TREE_AXIS, feature=["0", "-1", "-1"])),
+    ("forest", {"trees": [dict(_TREE_AXIS, value=[0.25, "-1", 2.5])]}),
+    ("mlp", _mlp_edit(x_mean=[0.0] * 7 + ["0.0"])),
+    ("mlp", _mlp_edit(weights=[[[0.5]] * 8, [["2.0"]]])),
+    ("mlp", _mlp_edit(x_std=[1.0] * 7 + [None])),
+], ids=["tree-threshold-strings", "tree-feature-strings", "forest-value-one-string",
+        "mlp-x-mean-one-string", "mlp-weight-string", "mlp-x-std-null"])
+def test_load_model_refuses_numbers_written_as_strings(tmp_path, kind, axis):
+    """Learner arrays hold numbers: a numeric string is refused, not parsed,
+    and so is a null, which numpy would read as NaN."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format": "vlp-model/1", "kind": kind,
+                                "axes": {a: axis for a in "xyz"}}))
+    with pytest.raises(MalformedModel, match=f"bad {kind} model.*could not convert"):
+        load_model(path)
+
+
+def test_learner_arrays_read_booleans_as_numbers():
+    """numpy promotes a boolean among numbers to a number, so booleans read
+    as 0 and 1 alone too, not refused in one case and read in the other."""
+    t = Tree([0, -1, -1], [True, False, False], [1, -1, -1], [2, -1, -1],
+             [1, True, False])
+    assert t.threshold.tolist() == [1.0, 0.0, 0.0] and t.value.dtype == np.float64
+    np.testing.assert_array_equal(t.predict([[1.0] * 8, [2.0] * 8]), [1.0, 0.0])
 
 
 def test_load_model_rejects_hyperparameters_that_are_no_mapping(tmp_path):

@@ -389,6 +389,20 @@ def test_disc_is_rejected_as_non_quad():
         extract_corners(_frame_from(disc))
 
 
+def test_quad_cutting_across_the_blob_is_rejected():
+    """A square with a 10 px bar jutting up and right from its top edge at
+    60 degrees: the side lines fitted near the bar's tip cut across the
+    square, and the quad covers about 70% of the blob's pixels."""
+    yy, xx = np.mgrid[0:480, 0:640]
+    square = (abs(xx - 320) < 60) & (abs(yy - 240) < 60)
+    u, v = xx - 370, yy - 181
+    s, c = np.sin(np.radians(60)), np.cos(np.radians(60))
+    along, across = u * s - v * c, abs(u * c + v * s)
+    bar = (along >= 0) & (along < 35) & (across < 5.01)
+    with pytest.raises(VisionFailure, match="covers under 80% of the blob"):
+        extract_corners(_frame_from(square | bar))
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_closing_padded_bbox_crop_matches_full_mask(data):
