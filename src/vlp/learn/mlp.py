@@ -1,9 +1,17 @@
 """Dense feedforward MLP baseline trained with mini-batch Adam on MSE.
 
-Matrix products are plain `@`, so they run through the host BLAS. OpenBLAS
-splits a product across threads by output block, never along the summed
-axis, so each output element is summed in the same order at any thread
-count; acceptance criterion 9 checks that study reports stay
+The network is float32 from end to end, as neural regressors usually are:
+inputs and targets are standardized in float64, then the weights, biases,
+activations, gradients and Adam moments are all float32, which halves the
+bytes every product and every elementwise pass moves. Only the
+standardization (x_mean, x_std, y_mean, y_std) stays float64, and predict
+undoes the target scaling in float64. A model document writes each float32
+value as its exact float64 repr, so a save/load round trip is bit-exact.
+
+Matrix products are plain `@`, so they run through the host BLAS (sgemm).
+OpenBLAS splits a product across threads by output block, never along the
+summed axis, so each output element is summed in the same order at any
+thread count; acceptance criterion 9 checks that study reports stay
 byte-identical at 1 and 4 BLAS threads.
 """
 
@@ -11,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import _numbers, _validate_xy
+from .tree import _number, _numbers, _validate_xy
 
 __all__ = ["Mlp", "fit_mlp", "loss_and_grads"]
 
@@ -20,7 +28,8 @@ class Mlp:
     """Rectifier network with a linear scalar output head.
 
     Inputs and targets are standardized internally during fit; predict
-    undoes both, so the public interface speaks raw units. The layers
+    undoes both, so the public interface speaks raw units. Weights and
+    biases are float32, the standardization float64. The layers
     must chain, from the width of x_mean and x_std to one output, each
     bias vector as wide as its layer; the constructor raises ValueError
     otherwise.
@@ -29,12 +38,12 @@ class Mlp:
     __slots__ = ("weights", "biases", "x_mean", "x_std", "y_mean", "y_std")
 
     def __init__(self, weights, biases, x_mean, x_std, y_mean, y_std):
-        self.weights = [_numbers(w, np.float64) for w in weights]
-        self.biases = [_numbers(b, np.float64) for b in biases]
+        self.weights = [_numbers(w, np.float32) for w in weights]
+        self.biases = [_numbers(b, np.float32) for b in biases]
         self.x_mean = _numbers(x_mean, np.float64)
         self.x_std = _numbers(x_std, np.float64)
-        self.y_mean = float(y_mean)
-        self.y_std = float(y_std)
+        self.y_mean = _number(y_mean)
+        self.y_std = _number(y_std)
         if self.x_mean.ndim != 1 or self.x_std.shape != self.x_mean.shape:
             raise ValueError(f"x_mean {self.x_mean.shape} and x_std {self.x_std.shape} "
                              "must be vectors of the input width")
@@ -51,26 +60,28 @@ class Mlp:
             raise ValueError(f"the output layer has width {width}, not 1")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predicted value for each row of an (N, n_features) matrix."""
+        """Predicted value for each row of an (N, n_features) matrix: the
+        network runs in float32, its output is unscaled in float64."""
         x = np.asarray(features, dtype=np.float64)
-        a = (x - self.x_mean) / self.x_std
+        a = ((x - self.x_mean) / self.x_std).astype(np.float32)
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             a = a @ w  # one new (N, width) array per layer; the rest in place
             a += b
             np.maximum(a, 0.0, out=a)
         out = (a @ self.weights[-1] + self.biases[-1]).ravel()
-        return self.y_mean + self.y_std * out
+        return self.y_mean + self.y_std * out.astype(np.float64)
 
 
 def loss_and_grads(weights, biases, x, y):
     """Mean squared error and its analytic parameter gradients.
 
     Forward pass with rectifier hiddens and a linear scalar head, then
-    plain backprop. Shapes: x (N, d), y (N,). Returns
-    (loss, [dW...], [db...]). Kept standalone so the gradients can be
-    checked against finite differences.
+    plain backprop, in the inputs' dtype: float32 when fit_mlp calls it,
+    float64 for a finite-difference check. Shapes: x (N, d), y (N,).
+    Returns (loss, [dW...], [db...]). Kept standalone so the gradients can
+    be checked against finite differences.
     """
-    acts = [np.asarray(x, dtype=np.float64)]
+    acts = [np.asarray(x)]
     pre = []
     a = acts[0]
     for w, b in zip(weights[:-1], biases[:-1]):
@@ -79,7 +90,7 @@ def loss_and_grads(weights, biases, x, y):
         a = np.maximum(z, 0.0)
         acts.append(a)
     out = (a @ weights[-1] + biases[-1]).ravel()
-    resid = out - np.asarray(y, dtype=np.float64)
+    resid = out - np.asarray(y)
     n = resid.size
     loss = float(resid @ resid) / n
 
@@ -101,8 +112,9 @@ def fit_mlp(features, targets, *, hidden: tuple[int, ...] = (200, 200, 200, 200,
             seed=None) -> Mlp:
     """Train the network with Adam; deterministic for a fixed seed.
 
-    Hidden layers start from scaled normal draws; the output layer starts
-    at zero, so an untrained model predicts the target mean exactly.
+    Hidden layers start from scaled normal draws (drawn in float64, then
+    rounded to float32); the output layer starts at zero, so an untrained
+    model predicts the target mean exactly. Training runs in float32.
     """
     x, y = _validate_xy(features, targets)
     if any(h < 1 for h in hidden):
@@ -115,15 +127,16 @@ def fit_mlp(features, targets, *, hidden: tuple[int, ...] = (200, 200, 200, 200,
     x_std[x_std == 0.0] = 1.0
     y_mean = float(y.mean())
     y_std = float(y.std()) or 1.0
-    xs = (x - x_mean) / x_std
-    ys = (y - y_mean) / y_std
+    xs = ((x - x_mean) / x_std).astype(np.float32)
+    ys = ((y - y_mean) / y_std).astype(np.float32)
 
     rng = np.random.default_rng(seed)
     widths = [x.shape[1], *hidden, 1]
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        weights.append(w.astype(np.float32))
+        biases.append(np.zeros(fan_out, dtype=np.float32))
     weights[-1][:] = 0.0  # head at zero: epoch-0 prediction is the mean
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8

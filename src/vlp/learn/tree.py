@@ -90,15 +90,36 @@ def _walk(trees, features) -> np.ndarray:
 
 
 def _numbers(raw, dtype) -> np.ndarray:
-    """raw as a dtype array; ValueError unless numpy reads it as numbers
-    or booleans (which read as 0 and 1). np.asarray(raw, dtype) would parse
-    numeric strings and read null as NaN. raw is read once, and the array
-    is cast only if its dtype differs, so a dtype array comes back as is."""
+    """raw as a dtype array; ValueError unless numpy reads it as finite
+    numbers or booleans (which read as 0 and 1) that dtype holds: whole
+    numbers for an integer dtype (1.0 reads as 1), values within a float
+    dtype's range. np.asarray(raw, dtype) would parse numeric strings, read
+    null as NaN, truncate 0.5 to 0 and overflow 1e39 to float32 inf. raw is
+    read once, and the array is cast only if its dtype differs, so a dtype
+    array comes back as is."""
     a = np.asarray(raw)
+    dtype = np.dtype(dtype)
     if a.dtype.kind not in "biuf":
-        raise ValueError(f"could not convert {a.dtype} values to {np.dtype(dtype)}: "
+        raise ValueError(f"could not convert {a.dtype} values to {dtype}: "
                          "not all 64-bit numbers")
+    if a.dtype.kind == "f":
+        if not np.isfinite(a).all():
+            raise ValueError(f"non-finite values where {dtype} numbers belong")
+        if dtype.kind == "i" and not ((np.trunc(a) == a) & (np.abs(a) < 2.0**63)).all():
+            raise ValueError(f"values that are not {dtype} numbers: fractional or too large")
+        narrower = dtype.kind == "f" and dtype.itemsize < a.itemsize
+        if narrower and (np.abs(a) > np.finfo(dtype).max).any():
+            raise ValueError(f"values beyond the range of {dtype}")
     return a.astype(dtype, copy=False)
+
+
+def _number(raw) -> float:
+    """raw as a float; ValueError unless it is one finite number (or a
+    boolean), read by _numbers' rules."""
+    a = _numbers(raw, np.float64)
+    if a.ndim:
+        raise ValueError(f"a {a.shape} array where one number belongs")
+    return float(a)
 
 
 def _validate_xy(features, targets):
@@ -289,8 +310,8 @@ class GbtModel:
     __slots__ = ("base_score", "learning_rate", "trees")
 
     def __init__(self, base_score: float, learning_rate: float, trees):
-        self.base_score = float(base_score)
-        self.learning_rate = float(learning_rate)
+        self.base_score = _number(base_score)
+        self.learning_rate = _number(learning_rate)
         self.trees = list(trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from vlp.learn import (
     fit_position_model,
     fit_tree,
     load_model,
+    loss_and_grads,
     save_model,
 )
 from vlp.errors import BadFeatures, MalformedModel
@@ -451,6 +452,27 @@ def test_mlp_reproducible_by_seed():
     assert not np.array_equal(a.predict(x), c.predict(x))
 
 
+def test_mlp_is_float32_with_float64_scaling():
+    """Weights, biases and gradients are float32; the initial weights are
+    the float64 normal draws rounded, and the standardization and the
+    predictions stay float64."""
+    g = rng(37)
+    x = g.normal(size=(24, 4))
+    y = g.normal(size=24)
+    untrained = fit_mlp(x, y, hidden=(5, 3), epochs=0, seed=9)
+    draws = np.random.default_rng(9)
+    for w, (a, b) in zip(untrained.weights[:-1], [(4, 5), (5, 3)]):
+        np.testing.assert_array_equal(
+            w, draws.normal(0.0, np.sqrt(2.0 / a), size=(a, b)).astype(np.float32))
+    model = fit_mlp(x, y, hidden=(5, 3), epochs=2, batch_size=8, seed=9)
+    assert {a.dtype for a in model.weights + model.biases} == {np.dtype(np.float32)}
+    assert model.x_mean.dtype == model.x_std.dtype == np.float64
+    assert model.predict(x).dtype == np.float64
+    _, gw, gb = loss_and_grads(model.weights, model.biases,
+                               x.astype(np.float32), y.astype(np.float32))
+    assert {a.dtype for a in gw + gb} == {np.dtype(np.float32)}
+
+
 def test_mlp_widths_and_validation():
     g = rng(36)
     x = g.normal(size=(10, 4))
@@ -503,6 +525,10 @@ def test_position_model_save_load_bit_exact(kind, tmp_path):
     back = load_model(path)
     assert back.kind == kind and back.seed == 3
     np.testing.assert_array_equal(back.predict(x), model.predict(x))
+    if kind == "mlp":  # float32 values written as float64 reprs read back exactly
+        for a, b in zip(model.submodels, back.submodels):
+            for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+                assert wb.dtype == np.float32 and wb.tobytes() == wa.tobytes()
     # the file is its own canonical encoding: sorted keys, compact, one newline
     text = path.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
@@ -638,6 +664,7 @@ def test_load_model_rejects_malformed_tree(tmp_path, kind, edit):
 
 _MLP_AXIS = json.loads(_GOLDEN["mlp"][1])
 _TREE_AXIS = json.loads(_TREE_DOC)
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("kind, axis, match", [
@@ -655,14 +682,37 @@ _TREE_AXIS = json.loads(_TREE_DOC)
     ("tree", dict(_TREE_AXIS, left=[2**70, -1, -1]), "could not convert object"),
     ("tree", {"feature": [-1], "left": [-1], "right": [-1], "threshold": [0.0],
               "value": 7}, "one-dimensional"),
+    ("tree", dict(_TREE_AXIS, value=[0.25, NAN, 2.5]), "non-finite"),
+    ("forest", {"trees": [dict(_TREE_AXIS, threshold=[INF, 0.0, 0.0])]}, "non-finite"),
+    ("tree", dict(_TREE_AXIS, left=[-INF, -1, -1]), "non-finite"),
+    ("gbt", {"base_score": NAN, "learning_rate": 0.1, "trees": [_TREE_AXIS]},
+     "non-finite"),
+    ("gbt", {"base_score": 0.5, "learning_rate": -INF, "trees": [_TREE_AXIS]},
+     "non-finite"),
+    ("mlp", dict(_MLP_AXIS, y_mean=NAN), "non-finite"),
+    ("mlp", dict(_MLP_AXIS, y_std=INF), "non-finite"),
+    ("mlp", dict(_MLP_AXIS, x_std=[1.0] * 7 + [NAN]), "non-finite"),
+    ("mlp", dict(_MLP_AXIS, biases=[[-INF], [-1.0]]), "non-finite"),
+    ("mlp", dict(_MLP_AXIS, weights=[[[0.5]] * 7 + [[1e39]], [[2.0]]]),
+     "beyond the range of float32"),
+    ("tree", dict(_TREE_AXIS, feature=[0.5, -1, -1]), "not int64 numbers"),
+    ("tree", dict(_TREE_AXIS, left=[1.5, -1, -1]), "not int64 numbers"),
+    ("forest", {"trees": [dict(_TREE_AXIS, right=[1e30, -1, -1])]}, "not int64 numbers"),
 ], ids=["mlp-under-gbt", "tree-under-mlp", "forest-tree-object-value",
         "gbt-tree-missing-field", "forest-tree-a-number", "forest-trees-a-number",
         "forest-no-trees", "mlp-string-array", "forest-tree-string-array",
-        "tree-index-past-int64", "tree-scalar-value"])
+        "tree-index-past-int64", "tree-scalar-value", "tree-value-nan",
+        "forest-tree-threshold-inf", "tree-index-minus-inf", "gbt-base-score-nan",
+        "gbt-learning-rate-minus-inf", "mlp-y-mean-nan", "mlp-y-std-inf",
+        "mlp-x-std-nan", "mlp-bias-minus-inf", "mlp-weight-past-float32",
+        "tree-feature-half", "tree-left-one-and-a-half", "forest-tree-float-index-past-int64"])
 def test_load_model_keeps_typed_errors(tmp_path, kind, axis, match):
     """Every learner is built as the decoder closes it; whatever its class
     refuses, or an axis of another kind, is a MalformedModel naming the
-    kind, never a raw TypeError, AttributeError or OverflowError."""
+    kind, never a raw TypeError, AttributeError or OverflowError, nor the
+    RuntimeWarning numpy's casts give on a value the dtype cannot hold.
+    Python's json reads NaN and Infinity, and a document holding one would
+    predict NaN or inf; a fractional node index would be truncated."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"format": "vlp-model/1", "kind": kind,
                                 "axes": {a: axis for a in "xyz"}}))
@@ -722,6 +772,16 @@ def test_learner_arrays_read_booleans_as_numbers():
              [1, True, False])
     assert t.threshold.tolist() == [1.0, 0.0, 0.0] and t.value.dtype == np.float64
     np.testing.assert_array_equal(t.predict([[1.0] * 8, [2.0] * 8]), [1.0, 0.0])
+
+
+def test_learner_integer_fields_read_whole_floats():
+    """1.0 in a node index reads as 1: a whole float is an integer."""
+    t = Tree([0.0, -1.0, -1.0], [1.5, 0.0, 0.0], [1.0, -1, -1], [2.0, -1, -1],
+             [0.25, -1.0, 2.5])
+    assert t.feature.dtype == t.left.dtype == np.int64
+    assert t.left.tolist() == _TREE.left.tolist() and t.right.tolist() == [2, -1, -1]
+    rows = [[1.0] * 8, [2.0] * 8]
+    np.testing.assert_array_equal(t.predict(rows), _TREE.predict(rows))
 
 
 def test_load_model_rejects_hyperparameters_that_are_no_mapping(tmp_path):
